@@ -242,7 +242,7 @@ net::Message bench_message() {
 }
 
 // Encode into a fresh string every frame: one allocation per call, the
-// pre-PR 10 send path.
+// event-queue and UDP send path.
 void BM_EncodeFresh(benchmark::State& state) {
   const net::Message m = bench_message();
   for (auto _ : state) {
@@ -252,21 +252,6 @@ void BM_EncodeFresh(benchmark::State& state) {
                           static_cast<int64_t>(net::codec::encoded_size(m)));
 }
 BENCHMARK(BM_EncodeFresh);
-
-// Encode into a reused scratch buffer (codec::encode_into): after warm-up the
-// capacity is retained, so the steady state is allocation-free. This is the
-// transport/bus hot path since PR 10.
-void BM_EncodeReuse(benchmark::State& state) {
-  const net::Message m = bench_message();
-  std::string scratch;
-  for (auto _ : state) {
-    net::codec::encode_into(m, scratch);
-    benchmark::DoNotOptimize(scratch);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(net::codec::encoded_size(m)));
-}
-BENCHMARK(BM_EncodeReuse);
 
 /// Shared world for the composite hot-path benchmarks: a mid-size corpus
 /// fully indexed over a 100-node ring. Built once per process.

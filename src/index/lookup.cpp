@@ -30,6 +30,10 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
   // from (node, query): a failed fetch then invalidates that shortcut and the
   // session resumes the normal walk from the jump origin instead of failing.
   std::optional<std::pair<Id, const Query*>> jumped_from;
+  // Shortcuts (node, source -> target_msd) this session invalidated in
+  // recorder mode, where the frozen snapshot keeps returning them. Empty, and
+  // never allocated, unless a jump failed.
+  std::vector<std::pair<Id, const Query*>> invalidated;
   std::deque<Query> scratch;
 
   const Query* q = &initial;
@@ -56,9 +60,11 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
           // Frozen-snapshot mode: the jump itself proves the entry existed in
           // the epoch snapshot, so the invalidation is recorded and charged
           // unconditionally; the apply sub-phase's erase is a no-op when two
-          // sessions of one epoch invalidate the same entry.
+          // sessions of one epoch invalidate the same entry. The snapshot
+          // still holds the entry, so the rest of the session skips it.
           recorder_->record_invalidate(jumped_from->first, *jumped_from->second,
                                        target_msd);
+          invalidated.push_back(*jumped_from);
           ledger.cache.record(net::kMessageOverheadBytes);  // invalidation notice
           ++outcome.stale_shortcuts;
         } else if (IndexNodeState* origin = service_.find_state(jumped_from->first);
@@ -106,14 +112,25 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     if (caching_enabled(config_.policy) && contact.state != nullptr) {
       ShortcutCache& cache = contact.state->cache();
       const auto cached = cache.find(*q);
-      key_has_cache_entries = !cached.empty();
+      // An entry this session invalidated counts as erased: no hit, and not
+      // an entry of the key.
+      const bool skip_target =
+          std::any_of(invalidated.begin(), invalidated.end(), [&](const auto& entry) {
+            return entry.first == node && *entry.second == *q;
+          });
+      std::size_t live_entries = cached.size();
       const Query* hit = nullptr;
       for (const Query* t : cached) {
         if (*t == target_msd) {
-          hit = t;
+          if (skip_target) {
+            --live_entries;
+          } else {
+            hit = t;
+          }
           break;
         }
       }
+      key_has_cache_entries = live_entries != 0;
       if (hit != nullptr) {
         if (recorder_ != nullptr) {
           recorder_->record_touch(node, *q, target_msd);

@@ -120,19 +120,9 @@ const char* to_string(CodecError::Kind kind) {
 }
 
 std::string encode(const Message& m) {
-  std::string out;
-  encode_into(m, out);
-  return out;
-}
-
-void encode_into(const Message& m, std::string& out) {
-  out.clear();
-  encode_append(m, out);
-}
-
-void encode_append(const Message& m, std::string& out) {
   check_payload_caps(m);
-  out.reserve(out.size() + encoded_size(m));
+  std::string out;
+  out.reserve(encoded_size(m));
   put_u8(out, kMagic0);
   put_u8(out, kMagic1);
   put_u8(out, kWireVersion);
@@ -147,6 +137,7 @@ void encode_append(const Message& m, std::string& out) {
     put_u32(out, static_cast<std::uint32_t>(item.size()));
     out.append(item);
   }
+  return out;
 }
 
 std::uint64_t encoded_size(const Message& m) {

@@ -84,18 +84,6 @@ const char* to_string(CodecError::Kind kind);
 /// payload exceeds the frame caps.
 std::string encode(const Message& m);
 
-/// Serializes `m` by appending to `out` (existing contents are preserved, so
-/// callers can pack several frames into one buffer). Reuses `out`'s capacity:
-/// a caller encoding many frames through the same buffer allocates only when
-/// a frame outgrows every previous one. Same caps and round-trip guarantees
-/// as encode().
-void encode_append(const Message& m, std::string& out);
-
-/// encode() into a caller-owned buffer: clears `out`, then encode_append()s.
-/// The hot-path variant — steady-state encoding through a reused buffer is
-/// allocation-free.
-void encode_into(const Message& m, std::string& out);
-
 /// Exact wire size of encode(m), computed without serializing.
 std::uint64_t encoded_size(const Message& m);
 

@@ -1,5 +1,8 @@
 #include "net/transport.hpp"
 
+#include <string>
+#include <utility>
+
 #include "net/chaos.hpp"
 #include "net/codec.hpp"
 
@@ -15,30 +18,21 @@ std::uint64_t InProcessTransport::send(const Message& message) {
 }
 
 std::uint64_t EventQueueTransport::send(const Message& message) {
-  const double base_deliver_at_ms = clock_ms_ + hop_delay_ms_;
-
+  std::string frame = codec::encode(message);
+  const std::uint64_t wire_bytes = frame.size();
+  double deliver_at_ms = clock_ms_ + hop_delay_ms_;
   if (chaos_ != nullptr) {
-    // Chaos faults target whole frames (a corrupted or dropped batch would
-    // fate-share unrelated messages), so batching is off while an adversary
-    // is attached: every frame travels alone, exactly as before PR 10.
-    flush_staged();
-    std::string frame = acquire_buffer();
-    codec::encode_into(message, frame);
-    const std::uint64_t wire_bytes = frame.size();
-    double deliver_at_ms = base_deliver_at_ms;
-    bool duplicate = false;
     const FramePlan plan = chaos_->plan_frame(message.from, message.to);
     switch (plan.fault) {
       case FrameFault::kDrop:
         // The frame vanishes on the wire. The sender still paid for it, so
         // the wire size is returned as usual.
-        release_buffer(std::move(frame));
         return wire_bytes;
       case FrameFault::kCorrupt:
         chaos_->corrupt(frame);
         break;
       case FrameFault::kDuplicate:
-        duplicate = true;
+        queue_.push(PendingFrame{deliver_at_ms, next_sequence_++, frame});
         break;
       case FrameFault::kDelay:
       case FrameFault::kReorder:
@@ -47,66 +41,13 @@ std::uint64_t EventQueueTransport::send(const Message& message) {
       case FrameFault::kNone:
         break;
     }
-    if (duplicate) {
-      queue_.push(PendingFrame{deliver_at_ms, next_sequence_++, frame, {}});
-    }
-    queue_.push(PendingFrame{deliver_at_ms, next_sequence_++, std::move(frame), {}});
-    return wire_bytes;
   }
-
-  // Fault-free fast path: append to the open tail batch when this send has
-  // the same destination and delivery instant ("one datagram per destination
-  // per tick"); otherwise seal the batch and start a new one. Batch members
-  // have consecutive sequences and one delivery instant, so delivery order,
-  // trace and per-frame wire sizes are identical to unbatched sends.
-  if (staged_active_ &&
-      (!(staged_to_ == message.to) || staged_.deliver_at_ms != base_deliver_at_ms ||
-       staged_.bounds.size() >= kMaxCoalescedFrames)) {
-    flush_staged();
-  }
-  if (!staged_active_) {
-    staged_active_ = true;
-    staged_to_ = message.to;
-    staged_.deliver_at_ms = base_deliver_at_ms;
-    staged_.sequence = next_sequence_;
-    staged_.frame = acquire_buffer();
-    staged_.bounds.clear();
-  }
-  const std::size_t before = staged_.frame.size();
-  codec::encode_append(message, staged_.frame);
-  staged_.bounds.push_back(staged_.frame.size());
-  ++next_sequence_;
-  return staged_.frame.size() - before;
-}
-
-void EventQueueTransport::flush_staged() {
-  if (!staged_active_) return;
-  queue_.push(std::move(staged_));
-  staged_active_ = false;
-  staged_.frame = std::string{};
-  staged_.bounds = std::vector<std::size_t>{};
-}
-
-std::string EventQueueTransport::acquire_buffer() {
-  if (pool_.empty()) return {};
-  std::string buffer = std::move(pool_.back());
-  pool_.pop_back();
-  buffer.clear();
-  return buffer;
-}
-
-void EventQueueTransport::release_buffer(std::string&& buffer) {
-  if (pool_.size() < kBufferPoolCap) {
-    pool_.push_back(std::move(buffer));
-  }
+  queue_.push(PendingFrame{deliver_at_ms, next_sequence_++, std::move(frame)});
+  return wire_bytes;
 }
 
 void EventQueueTransport::pump() {
-  while (true) {
-    // The staged batch joins the heap first: it holds the largest sequences
-    // at its delivery instant, so heap order equals send order throughout.
-    flush_staged();
-    if (queue_.empty()) break;
+  while (!queue_.empty()) {
     // Move out before popping: the sink may send() re-entrantly, and the
     // queue must not hold a popped-but-live reference meanwhile. Moving
     // leaves the heap node's ordering keys intact, so pop() re-heapifies
@@ -116,34 +57,23 @@ void EventQueueTransport::pump() {
     if (next.deliver_at_ms > clock_ms_) {
       clock_ms_ = next.deliver_at_ms;
     }
-    const std::string_view buffer{next.frame};
-    const std::size_t count = next.bounds.empty() ? 1 : next.bounds.size();
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t end = next.bounds.empty() ? buffer.size() : next.bounds[i];
-      const std::string_view sub = buffer.substr(start, end - start);
-      const std::uint64_t sequence = next.sequence + i;
-      start = end;
-      Message message;
-      try {
-        message = codec::decode(sub);
-      } catch (const codec::CodecError&) {
-        // Damaged frame: it still consumed the wire and delivery slot (the
-        // trace records it), but the payload never reaches the sink.
-        ++rejected_;
-        trace_.push_back(sequence);
-        if (sink_ != nullptr) {
-          sink_->on_rejected(sub.size());
-        }
-        continue;
-      }
-      ++delivered_;
-      trace_.push_back(sequence);
+    // A damaged frame still consumed the wire and its delivery slot, so the
+    // trace records it, but its payload never reaches the sink.
+    trace_.push_back(next.sequence);
+    Message message;
+    try {
+      message = codec::decode(next.frame);
+    } catch (const codec::CodecError&) {
+      ++rejected_;
       if (sink_ != nullptr) {
-        sink_->on_message(message, sub.size());
+        sink_->on_rejected(next.frame.size());
       }
+      continue;
     }
-    release_buffer(std::move(next.frame));
+    ++delivered_;
+    if (sink_ != nullptr) {
+      sink_->on_message(message, next.frame.size());
+    }
   }
 }
 

@@ -15,19 +15,9 @@
 //     every delivered message has survived a real round trip). With the
 //     default constant hop delay the delivery order equals send order, which
 //     is the property the CI smoke pins: at drop probability 0 the
-//     event-queue run must be bit-identical to the in-process run.
-//
-//     Two allocation optimizations keep the encode/deliver path out of the
-//     allocator without touching observable behaviour: retired frame buffers
-//     are pooled and reused by later send()s (steady-state encoding is
-//     allocation-free once buffers have grown to the working-set frame
-//     size), and consecutive sends to the same destination at the same
-//     delivery instant are coalesced into one pooled buffer ("one datagram
-//     per destination per tick"), delivered as individual sub-frames with
-//     their original sequence numbers — the delivery order, trace, wire
-//     sizes and codec round trip are exactly those of unbatched sends.
-//     Coalescing turns off while a chaos adversary is attached: faults
-//     target whole frames, so each must stay individually droppable.
+//     event-queue run must be bit-identical to the in-process run. Every
+//     frame is encoded on its own and queued alone, so chaos faults act on
+//     single frames.
 //
 //   * UdpTransport (udp.hpp) — real datagrams over the loopback interface,
 //     for the examples/ demo.
@@ -124,7 +114,7 @@ class EventQueueTransport : public Transport {
 
   std::uint64_t send(const Message& message) override;
   void pump() override;
-  bool idle() const override { return queue_.empty() && !staged_active_; }
+  bool idle() const override { return queue_.empty(); }
 
   double clock_ms() const { return clock_ms_; }
   std::uint64_t delivered() const { return delivered_; }
@@ -148,18 +138,11 @@ class EventQueueTransport : public Transport {
  private:
   struct PendingFrame {
     double deliver_at_ms;
-    /// Sequence of the first sub-frame; sub-frame i is sequence + i.
     std::uint64_t sequence;
-    /// One encoded frame, or several back-to-back when coalesced.
     std::string frame;
-    /// End offset of each sub-frame within `frame`. Empty means the buffer
-    /// is one whole frame (the chaos path never coalesces).
-    std::vector<std::size_t> bounds;
 
     // Min-heap on (deliver_at, sequence): std::priority_queue keeps the
     // *largest* element on top, so "greater" here means "delivered later".
-    // A batch sorts by its first sub-frame; members have consecutive
-    // sequences and one delivery instant, so batching never reorders.
     bool operator<(const PendingFrame& other) const {
       if (deliver_at_ms != other.deliver_at_ms) {
         return deliver_at_ms > other.deliver_at_ms;
@@ -167,20 +150,6 @@ class EventQueueTransport : public Transport {
       return sequence > other.sequence;
     }
   };
-
-  /// Bounds a batch so one hot destination cannot grow a frame buffer
-  /// without limit; the 57th consecutive send simply starts a new batch.
-  static constexpr std::size_t kMaxCoalescedFrames = 56;
-  /// Retired buffers kept for reuse. The queue holds at most one live buffer
-  /// per in-flight batch; a small pool covers the steady state.
-  static constexpr std::size_t kBufferPoolCap = 64;
-
-  /// Pushes the staged batch (if any) into the heap. Called before any
-  /// operation that must observe the full queue: pump, chaos sends, and
-  /// sends that cannot join the batch.
-  void flush_staged();
-  std::string acquire_buffer();
-  void release_buffer(std::string&& buffer);
 
   double hop_delay_ms_;
   double clock_ms_ = 0.0;
@@ -190,12 +159,6 @@ class EventQueueTransport : public Transport {
   std::priority_queue<PendingFrame> queue_;
   std::vector<std::uint64_t> trace_;
   ChaosInjector* chaos_ = nullptr;
-  /// The open tail batch: consecutive same-destination sends append here
-  /// until the destination, delivery instant, or size cap breaks the run.
-  bool staged_active_ = false;
-  Id staged_to_;
-  PendingFrame staged_;
-  std::vector<std::string> pool_;
 };
 
 }  // namespace dhtidx::net

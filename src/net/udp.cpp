@@ -70,17 +70,15 @@ std::uint64_t UdpTransport::send(const Message& message) {
   if (peer == peers_.end()) {
     throw NotFoundError{"udp peer " + message.to.brief()};
   }
-  // Reused scratch buffer: the datagram is consumed by sendto() before the
-  // call returns, so one per-transport buffer serves every send.
-  codec::encode_into(message, scratch_);
+  const std::string frame = codec::encode(message);
   const sockaddr_in addr = loopback_address(peer->second);
   const ssize_t sent =
-      ::sendto(fd_, scratch_.data(), scratch_.size(), 0,
+      ::sendto(fd_, frame.data(), frame.size(), 0,
                reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  if (sent < 0 || static_cast<std::size_t>(sent) != scratch_.size()) {
+  if (sent < 0 || static_cast<std::size_t>(sent) != frame.size()) {
     throw_errno("udp sendto");
   }
-  return scratch_.size();
+  return frame.size();
 }
 
 void UdpTransport::pump() {

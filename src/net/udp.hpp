@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 
 #include "common/id.hpp"
@@ -57,7 +56,6 @@ class UdpTransport : public Transport {
   int fd_ = -1;
   std::uint16_t port_ = 0;
   std::unordered_map<Id, std::uint16_t, IdHasher> peers_;
-  std::string scratch_;  ///< reusable encode buffer (datagrams are consumed by sendto)
 };
 
 }  // namespace dhtidx::net

@@ -1,10 +1,8 @@
 #include "sim/sharded.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -13,12 +11,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rss.hpp"
 #include "common/thread_annotations.hpp"
-#ifdef DHTIDX_AUDIT
-#include "audit/audit.hpp"
-#endif
-#include "dht/ring.hpp"
 #include "index/lookup.hpp"
 #include "index/scheme.hpp"
 #include "workload/streaming.hpp"
@@ -30,10 +23,6 @@ namespace {
 
 using index::CachePolicy;
 using query::Query;
-
-double wall_seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 /// Articles per bulk-synchronous build epoch. Fixed (never derived from the
 /// shard count or machine), so the epoch boundaries — and therefore the
@@ -350,47 +339,41 @@ void merge_by_virtual_time(const std::vector<const std::vector<T>*>& queues, Fn&
   }
 }
 
-/// Per-feed-worker accumulator: integer sums and a private traffic ledger,
-/// both folded after the final barrier. Merging is commutative and exact, so
-/// the totals match a one-worker feed bit for bit.
-struct FeedAccumulator {
-  std::uint64_t interactions = 0;
-  std::uint64_t generalizations = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t first_node_hits = 0;
-  std::uint64_t rpc_failures = 0;
-  std::size_t failed_lookups = 0;
-  std::size_t non_indexed = 0;
-  std::size_t degraded = 0;
-  std::size_t gave_up = 0;
-  std::size_t unreachable = 0;
-  std::size_t stale_shortcuts = 0;
-  /// Unique-node touches per session; folded into FeedTotals::node_touches.
-  // dhtidx-lint: allow(hot-path-map) "merged once per feed; sorted iteration drives deterministic load fractions"
-  std::map<Id, std::uint64_t> node_touches;
-  net::TrafficLedger ledger;
-
-  void fold_outcome(const index::LookupOutcome& outcome) {
-    interactions += static_cast<std::uint64_t>(outcome.interactions);
-    generalizations += static_cast<std::uint64_t>(outcome.generalization_steps);
-    if (!outcome.found) ++failed_lookups;
-    if (outcome.non_indexed) ++non_indexed;
-    if (outcome.cache_hit) {
-      ++hits;
-      if (outcome.cache_hit_position == 1) ++first_node_hits;
-    }
-    rpc_failures += static_cast<std::uint64_t>(outcome.rpc_failures);
-    if (outcome.degraded) ++degraded;
-    if (outcome.gave_up) ++gave_up;
-    if (outcome.unreachable) ++unreachable;
-    stale_shortcuts += static_cast<std::size_t>(outcome.stale_shortcuts);
-    const std::set<Id> unique_nodes(outcome.visited_nodes.begin(),
-                                    outcome.visited_nodes.end());
-    for (const Id& node : unique_nodes) ++node_touches[node];
-  }
-};
-
 }  // namespace
+
+void FeedTotals::fold(const index::LookupOutcome& outcome) {
+  interactions += static_cast<std::uint64_t>(outcome.interactions);
+  generalizations += static_cast<std::uint64_t>(outcome.generalization_steps);
+  if (!outcome.found) ++failed_lookups;
+  if (outcome.non_indexed) ++non_indexed;
+  if (outcome.cache_hit) {
+    ++hits;
+    if (outcome.cache_hit_position == 1) ++first_node_hits;
+  }
+  rpc_failures += static_cast<std::uint64_t>(outcome.rpc_failures);
+  if (outcome.degraded) ++degraded;
+  if (outcome.gave_up) ++gave_up;
+  if (outcome.unreachable) ++unreachable;
+  stale_shortcuts += static_cast<std::size_t>(outcome.stale_shortcuts);
+  const std::set<Id> unique_nodes(outcome.visited_nodes.begin(), outcome.visited_nodes.end());
+  for (const Id& node : unique_nodes) ++node_touches[node];
+}
+
+void FeedTotals::merge(const FeedTotals& other) {
+  interactions += other.interactions;
+  generalizations += other.generalizations;
+  hits += other.hits;
+  first_node_hits += other.first_node_hits;
+  rpc_failures += other.rpc_failures;
+  failed_lookups += other.failed_lookups;
+  non_indexed += other.non_indexed;
+  degraded += other.degraded;
+  gave_up += other.gave_up;
+  unreachable += other.unreachable;
+  stale_shortcuts += other.stale_shortcuts;
+  for (const auto& [node, touches] : other.node_touches) node_touches[node] += touches;
+  ledger.merge(other.ledger);
+}
 
 void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                            index::IndexService& service, storage::DhtStore& store,
@@ -522,20 +505,22 @@ FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                                 storage::DhtStore& store,
                                 const workload::StreamingWorkload& workload) {
   const std::size_t shards = std::max<std::size_t>(config.shards, 1);
-  std::vector<FeedAccumulator> accumulators(shards);
-  std::vector<net::TrafficLedger> apply_ledgers(shards);
+  // One FeedTotals per worker. Worker w owns accumulators[w] in every
+  // parallel sub-phase (lookup and apply alike); the barriers between the
+  // phases order all access.
+  std::vector<FeedTotals> accumulators(shards);
 
   if (!caching_enabled(config.policy)) {
     // Cacheless feed: sessions are read-only on all shared state, so one
     // parallel pass over the whole feed suffices — no epochs, no barriers.
     run_workers(shards, [&](std::size_t w) {
-      FeedAccumulator& acc = accumulators[w];
+      FeedTotals& acc = accumulators[w];
       const net::ScopedLedgerOverride scope{&acc.ledger};
       index::LookupEngine engine{service, store, {config.policy}};
       for (std::size_t i = 0; i < config.queries; ++i) {
         if (i % shards != w) continue;
         const workload::StreamingRequest request = workload.request_at(i);
-        acc.fold_outcome(engine.resolve(request.query, request.target_msd));
+        acc.fold(engine.resolve(request.query, request.target_msd));
       }
     });
   } else {
@@ -566,7 +551,7 @@ FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
       // read-only, recording cache deltas. Walked in increasing i, so each
       // queue is (vt, seq)-sorted by construction.
       run_workers(shards, [&](std::size_t w) {
-        FeedAccumulator& acc = accumulators[w];
+        FeedTotals& acc = accumulators[w];
         const net::ScopedLedgerOverride scope{&acc.ledger};
         FeedRecorder& recorder = recorders[w];
         recorder.phase_.assert_exclusive();  // worker w is recorder w's sole owner
@@ -576,7 +561,7 @@ FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
           if (i % shards != w) continue;
           recorder.begin_session(i);
           const workload::StreamingRequest request = workload.request_at(i);
-          acc.fold_outcome(engine.resolve(request.query, request.target_msd));
+          acc.fold(engine.resolve(request.query, request.target_msd));
         }
       });
 
@@ -591,9 +576,9 @@ FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
       // (apply) -- worker t merges the delta queues addressed to its shard
       // by (vt, seq) and replays them against the caches it owns. Install
       // traffic is charged here, exactly when an insert creates an entry
-      // (the sequential rule), into a per-applier ledger folded at the end.
+      // (the sequential rule), into the applier's own ledger.
       run_workers(shards, [&](std::size_t t) {
-        const net::ScopedLedgerOverride scope{&apply_ledgers[t]};
+        const net::ScopedLedgerOverride scope{&accumulators[t].ledger};
         net::TrafficLedger& ledger = net::active(service.ledger());
         std::vector<const std::vector<CacheDelta>*> queues;
         queues.reserve(shards);
@@ -641,160 +626,8 @@ FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
   }
 
   FeedTotals totals;
-  for (const FeedAccumulator& acc : accumulators) {
-    totals.interactions += acc.interactions;
-    totals.generalizations += acc.generalizations;
-    totals.hits += acc.hits;
-    totals.first_node_hits += acc.first_node_hits;
-    totals.rpc_failures += acc.rpc_failures;
-    totals.failed_lookups += acc.failed_lookups;
-    totals.non_indexed += acc.non_indexed;
-    totals.degraded += acc.degraded;
-    totals.gave_up += acc.gave_up;
-    totals.unreachable += acc.unreachable;
-    totals.stale_shortcuts += acc.stale_shortcuts;
-    for (const auto& [node, touches] : acc.node_touches) {
-      totals.node_touches[node] += touches;
-    }
-    totals.ledger.merge(acc.ledger);
-  }
-  for (const net::TrafficLedger& ledger : apply_ledgers) {
-    totals.ledger.merge(ledger);
-  }
+  for (const FeedTotals& acc : accumulators) totals.merge(acc);
   return totals;
-}
-
-SimulationResults run_streaming_simulation(const SimulationConfig& config) {
-  const std::size_t shards = std::max<std::size_t>(config.shards, 1);
-  if (config.substrate != Substrate::kRing) {
-    throw InvariantError("streaming simulation requires the ring substrate");
-  }
-  if (config.churn.enabled()) {
-    throw InvariantError("streaming simulation does not support churn");
-  }
-  if (config.transport != TransportKind::kInProcess) {
-    throw InvariantError("streaming simulation requires the in-process transport");
-  }
-  if (shards > 1 && !config.streaming) {
-    throw InvariantError("shards > 1 requires a streaming world (config.streaming)");
-  }
-
-  dht::Ring ring = dht::Ring::with_nodes(config.nodes);
-  net::TrafficLedger ledger;
-  storage::DhtStore store{ring, ledger, config.replication};
-  index::IndexService service{ring, ledger, config.cache_capacity, config.replication};
-  const biblio::ArticleStream stream{config.corpus};
-
-  const auto build_start = std::chrono::steady_clock::now();
-  build_streaming_world(config, ring, service, store, stream);
-  const double build_wall_s = wall_seconds_since(build_start);
-
-#ifdef DHTIDX_AUDIT
-  const index::IndexingScheme audit_scheme = index::IndexingScheme::make(config.scheme);
-  audit::Options audit_options;
-  audit_options.scheme = &audit_scheme;
-  audit::audit_or_throw("post-build", ring, service, store, audit_options);
-#endif
-  // Index construction traffic is not part of the per-query measurements
-  // (same rule as the sequential driver; the sharded build charges nothing,
-  // but the audit hooks above may have).
-  ledger.reset();
-
-  // --- run the query feed ----------------------------------------------------
-  workload::PopularityModel popularity{stream.size(), config.popularity_c,
-                                       config.popularity_alpha};
-  workload::StructureModel structure =
-      config.structure_weights.empty() ? workload::StructureModel{}
-                                       : workload::StructureModel{config.structure_weights};
-  const workload::StreamingWorkload workload{stream, std::move(popularity),
-                                             std::move(structure), config.seed};
-
-  const auto feed_start = std::chrono::steady_clock::now();
-  const FeedTotals feed = feed_streaming_world(config, ring, service, store, workload);
-  const double feed_wall_s = wall_seconds_since(feed_start);
-
-  // --- collect metrics -------------------------------------------------------
-  SimulationResults r;
-  r.scheme = config.scheme;
-  r.policy = config.policy;
-  r.cache_capacity = config.cache_capacity;
-  r.nodes = config.nodes;
-  r.articles = stream.size();
-  r.queries = config.queries;
-  r.replication = config.replication;
-  r.transport = config.transport;
-  r.build_wall_s = build_wall_s;
-  r.feed_wall_s = feed_wall_s;
-  r.peak_rss_bytes = dhtidx::peak_rss_bytes();
-
-  r.rpc_failures = feed.rpc_failures;
-  r.failed_lookups = feed.failed_lookups;
-  r.non_indexed_queries = feed.non_indexed;
-  r.degraded_sessions = feed.degraded;
-  r.gave_up_sessions = feed.gave_up;
-  r.unreachable_sessions = feed.unreachable;
-  r.stale_shortcut_invalidations = feed.stale_shortcuts;
-  ledger.merge(feed.ledger);
-
-  const double n_queries = static_cast<double>(config.queries);
-  r.avg_interactions = static_cast<double>(feed.interactions) / n_queries;
-  r.avg_generalization_steps = static_cast<double>(feed.generalizations) / n_queries;
-  r.normal_traffic_per_query = static_cast<double>(ledger.normal_bytes()) / n_queries;
-  r.cache_traffic_per_query = static_cast<double>(ledger.cache.bytes()) / n_queries;
-  r.hit_ratio = static_cast<double>(feed.hits) / n_queries;
-  r.first_node_hit_share =
-      feed.hits == 0 ? 0.0
-                     : static_cast<double>(feed.first_node_hits) /
-                           static_cast<double>(feed.hits);
-  r.ledger = ledger;
-
-  // Cache occupancy over all nodes, as in the sequential driver.
-  std::uint64_t cached_total = 0;
-  std::size_t full = 0;
-  std::size_t empty = 0;
-  std::size_t max_cached = 0;
-  const std::vector<Id> nodes = ring.node_ids();
-  for (const Id& node : nodes) {
-    std::size_t size = 0;
-    if (const index::IndexNodeState* state = service.find_state(node); state != nullptr) {
-      size = state->cache().size();
-    }
-    cached_total += size;
-    max_cached = std::max(max_cached, size);
-    if (size == 0) ++empty;
-    if (config.cache_capacity != 0 && size >= config.cache_capacity) ++full;
-  }
-  const double n_nodes = static_cast<double>(nodes.size());
-  r.avg_cached_keys_per_node = static_cast<double>(cached_total) / n_nodes;
-  r.max_cached_keys = max_cached;
-  r.full_cache_fraction = static_cast<double>(full) / n_nodes;
-  r.empty_cache_fraction = static_cast<double>(empty) / n_nodes;
-
-  const index::IndexService::Totals totals = service.totals();
-  std::size_t stored_keys = 0;
-  for (const auto& [node, node_store] : store.node_stores()) {
-    stored_keys += node_store.key_count();
-  }
-  r.avg_regular_keys_per_node = static_cast<double>(totals.keys + stored_keys) / n_nodes;
-  r.index_keys = totals.keys;
-  r.index_mappings = totals.mappings;
-  r.index_bytes = totals.bytes;
-  r.data_bytes = store.total_bytes();
-
-  r.node_load_fractions.reserve(nodes.size());
-  for (const Id& node : nodes) {
-    const auto it = feed.node_touches.find(node);
-    const double touches =
-        it == feed.node_touches.end() ? 0.0 : static_cast<double>(it->second);
-    r.node_load_fractions.push_back(touches / n_queries);
-  }
-  std::sort(r.node_load_fractions.begin(), r.node_load_fractions.end(), std::greater<>());
-
-#ifdef DHTIDX_AUDIT
-  audit::audit_or_throw("post-run", ring, service, store, audit_options);
-#endif
-
-  return r;
 }
 
 }  // namespace dhtidx::sim

@@ -1,5 +1,12 @@
-// Shard-concurrent streaming simulation core (ROADMAP item 1: the paper's
-// world at 100x scale on one machine).
+// Streaming world source and its shard-concurrent feed (ROADMAP item 1: the
+// paper's world at 100x scale on one machine).
+//
+// sim::run_simulation is the one simulation driver. It takes its world from
+// one of two sources -- a materialized biblio::Corpus indexed through
+// IndexBuilder, or the streaming source below -- runs the matching feed, and
+// fills SimulationResults from one collector. This header is the streaming
+// half: build_streaming_world and feed_streaming_world, plus FeedTotals, the
+// fold every feed (sequential or sharded) sums its session outcomes into.
 //
 // A streaming cell never materializes its workload: articles come from
 // biblio::ArticleStream and queries from workload::StreamingWorkload, both
@@ -46,14 +53,18 @@
 //    across shard counts, including S = 1 (which runs the identical epoch
 //    code inline).
 //
-// Restrictions (InvariantError otherwise): Ring substrate, in-process
-// transport, no churn; shards > 1 additionally requires a streaming world.
+// Restrictions, checked by run_simulation (InvariantError otherwise): Ring
+// substrate, in-process transport, no churn or chaos, no shared corpus;
+// shards > 1 additionally requires a streaming world. The message bus stays
+// detached: sharded sessions run on several threads, and MessageBus is
+// single-threaded.
 #pragma once
 
 #include <cstdint>
 #include <map>
 
 #include "biblio/stream.hpp"
+#include "index/lookup.hpp"
 #include "index/service.hpp"
 #include "net/stats.hpp"
 #include "sim/metrics.hpp"
@@ -70,8 +81,11 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                            index::IndexService& service, storage::DhtStore& store,
                            const biblio::ArticleStream& stream);
 
-/// Aggregated feed-phase measurements: the exact integer fold of the
-/// per-worker accumulators plus the apply sub-phase's install traffic.
+/// Aggregated feed-phase measurements. The only place session outcomes are
+/// summed: the sequential feed folds each outcome here, every sharded feed
+/// worker folds into its own FeedTotals, and the workers are merged after the
+/// final barrier. Integer sums throughout, so merging in any order reproduces
+/// a one-worker feed bit for bit.
 struct FeedTotals {
   std::uint64_t interactions = 0;
   std::uint64_t generalizations = 0;
@@ -89,21 +103,21 @@ struct FeedTotals {
   // dhtidx-lint: allow(hot-path-map) "merged once per feed, never touched per query; sorted iteration drives deterministic load fractions"
   std::map<Id, std::uint64_t> node_touches;
   net::TrafficLedger ledger;  ///< all feed traffic (worker + apply charges)
+
+  /// Adds one session's outcome.
+  void fold(const index::LookupOutcome& outcome);
+  /// Adds another worker's totals.
+  void merge(const FeedTotals& other);
 };
 
 /// Runs the query feed over an already-built streaming world with
 /// config.shards workers: one read-only parallel pass for cacheless
 /// policies, bulk-synchronous lookup/intern/apply query epochs for caching
 /// policies. Exposed so tests can audit the cache state of a sharded cached
-/// world directly (run_streaming_simulation composes build + feed).
+/// world directly (run_simulation composes build + feed).
 FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                                 index::IndexService& service,
                                 storage::DhtStore& store,
                                 const workload::StreamingWorkload& workload);
-
-/// Runs one streaming (optionally shard-concurrent) cell end to end.
-/// run_simulation dispatches here when config.streaming or config.shards > 1;
-/// call through run_simulation unless you need the streaming path explicitly.
-SimulationResults run_streaming_simulation(const SimulationConfig& config);
 
 }  // namespace dhtidx::sim

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <set>
 
 #include "common/error.hpp"
 #include "common/rss.hpp"
@@ -19,10 +17,9 @@
 #include "dht/ring.hpp"
 #include "sim/sharded.hpp"
 #include "workload/generator.hpp"
+#include "workload/streaming.hpp"
 
 namespace dhtidx::sim {
-
-using index::CachePolicy;
 
 namespace {
 
@@ -30,10 +27,67 @@ double wall_seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-}  // namespace
+/// The key-to-node substrate of a run. Built from the config alone, so two
+/// overlays built from one config resolve every key to the same nodes.
+struct Overlay {
+  explicit Overlay(const SimulationConfig& config) {
+    switch (config.substrate) {
+      case Substrate::kRing:
+        ring.emplace(dht::Ring::with_nodes(config.nodes));
+        break;
+      case Substrate::kChord:
+        chord.emplace(config.seed ^ 0xC402D);
+        for (std::size_t i = 0; i < config.nodes; ++i) {
+          chord->add_node("node-" + std::to_string(i));
+          chord->stabilize_round(4);
+          chord->stabilize_round(4);
+        }
+        if (chord->stabilize_until_converged() < 0) {
+          throw InvariantError("chord substrate failed to converge");
+        }
+        break;
+      case Substrate::kCan:
+        can.emplace(config.seed ^ 0xCA9);
+        for (std::size_t i = 0; i < config.nodes; ++i) {
+          can->add_node("node-" + std::to_string(i));
+        }
+        break;
+      case Substrate::kPastry:
+        pastry.emplace(config.seed ^ 0x9A57);
+        for (std::size_t i = 0; i < config.nodes; ++i) {
+          pastry->add_node("node-" + std::to_string(i));
+        }
+        for (int r = 0; r < 3; ++r) pastry->repair_round();
+        if (!pastry->leaf_sets_correct()) {
+          throw InvariantError("pastry substrate failed to converge");
+        }
+        break;
+    }
+  }
 
-SimulationResults run_simulation(const SimulationConfig& config,
-                                 const biblio::Corpus* shared_corpus) {
+  dht::Dht& dht() {
+    if (chord) return *chord;
+    if (can) return *can;
+    if (pastry) return *pastry;
+    return *ring;
+  }
+
+  /// Routing counters of a protocol substrate; nullptr on the instant Ring.
+  net::TrafficStats* routing_stats() {
+    if (chord) return &chord->routing_stats();
+    if (can) return &can->routing_stats();
+    if (pastry) return &pastry->routing_stats();
+    return nullptr;
+  }
+
+  std::optional<dht::Ring> ring;
+  std::optional<dht::ChordNetwork> chord;
+  std::optional<dht::CanNetwork> can;
+  std::optional<dht::PastryNetwork> pastry;
+};
+
+/// Every configuration the driver rejects, checked before anything is built.
+void check_config(const SimulationConfig& config, const biblio::Corpus* shared_corpus) {
   if (config.chaos.enabled()) {
     if (config.transport != TransportKind::kEventQueue) {
       throw InvariantError(
@@ -46,71 +100,51 @@ SimulationResults run_simulation(const SimulationConfig& config,
           "protocol substrates have failure handling of their own)");
     }
   }
-  if (config.streaming || config.shards > 1) {
-    // Streaming (and therefore sharded) worlds take the counter-addressable
-    // path; the materialized path below stays byte-for-byte untouched so the
-    // paper-scale golden outputs cannot drift.
-    if (shared_corpus != nullptr) {
-      throw InvariantError(
-          "streaming runs synthesize their own corpus (shared_corpus must be null)");
-    }
-    return run_streaming_simulation(config);
-  }
-
-  // --- build the world -----------------------------------------------------
-  std::optional<biblio::Corpus> local_corpus;
-  if (shared_corpus == nullptr) {
-    local_corpus.emplace(biblio::Corpus::generate(config.corpus));
-  }
-  const biblio::Corpus& corpus = shared_corpus ? *shared_corpus : *local_corpus;
-
-  std::optional<dht::Ring> ring_substrate;
-  std::optional<dht::ChordNetwork> chord_substrate;
-  std::optional<dht::CanNetwork> can_substrate;
-  std::optional<dht::PastryNetwork> pastry_substrate;
-  dht::Dht* substrate = nullptr;
-  switch (config.substrate) {
-    case Substrate::kRing:
-      ring_substrate.emplace(dht::Ring::with_nodes(config.nodes));
-      substrate = &*ring_substrate;
-      break;
-    case Substrate::kChord:
-      chord_substrate.emplace(config.seed ^ 0xC402D);
-      for (std::size_t i = 0; i < config.nodes; ++i) {
-        chord_substrate->add_node("node-" + std::to_string(i));
-        chord_substrate->stabilize_round(4);
-        chord_substrate->stabilize_round(4);
-      }
-      if (chord_substrate->stabilize_until_converged() < 0) {
-        throw InvariantError("chord substrate failed to converge");
-      }
-      substrate = &*chord_substrate;
-      break;
-    case Substrate::kCan:
-      can_substrate.emplace(config.seed ^ 0xCA9);
-      for (std::size_t i = 0; i < config.nodes; ++i) {
-        can_substrate->add_node("node-" + std::to_string(i));
-      }
-      substrate = &*can_substrate;
-      break;
-    case Substrate::kPastry:
-      pastry_substrate.emplace(config.seed ^ 0x9A57);
-      for (std::size_t i = 0; i < config.nodes; ++i) {
-        pastry_substrate->add_node("node-" + std::to_string(i));
-      }
-      for (int r = 0; r < 3; ++r) pastry_substrate->repair_round();
-      if (!pastry_substrate->leaf_sets_correct()) {
-        throw InvariantError("pastry substrate failed to converge");
-      }
-      substrate = &*pastry_substrate;
-      break;
-  }
-  dht::Dht& ring = *substrate;
   if (config.churn.enabled() && config.substrate != Substrate::kRing) {
     throw InvariantError(
         "churn simulation requires the ring substrate (chord/can/pastry have "
         "protocol-level failure handling of their own)");
   }
+  if (config.shards > 1 && !config.streaming) {
+    throw InvariantError("shards > 1 requires a streaming world (config.streaming)");
+  }
+  if (!config.streaming) return;
+  if (shared_corpus != nullptr) {
+    throw InvariantError(
+        "streaming runs synthesize their own corpus (shared_corpus must be null)");
+  }
+  if (config.substrate != Substrate::kRing) {
+    throw InvariantError("streaming simulation requires the ring substrate");
+  }
+  if (config.churn.enabled()) {
+    throw InvariantError("streaming simulation does not support churn");
+  }
+  if (config.transport != TransportKind::kInProcess) {
+    throw InvariantError("streaming simulation requires the in-process transport");
+  }
+}
+
+}  // namespace
+
+SimulationResults run_simulation(const SimulationConfig& config,
+                                 const biblio::Corpus* shared_corpus) {
+  check_config(config, shared_corpus);
+
+  // --- build the world -----------------------------------------------------
+  // Two world sources: a materialized corpus (shared or generated), or the
+  // counter-addressable article stream of sim/sharded.hpp.
+  std::optional<biblio::Corpus> local_corpus;
+  std::optional<biblio::ArticleStream> stream;
+  const biblio::Corpus* corpus = shared_corpus;
+  if (config.streaming) {
+    stream.emplace(config.corpus);
+  } else if (corpus == nullptr) {
+    corpus = &local_corpus.emplace(biblio::Corpus::generate(config.corpus));
+  }
+  const std::size_t articles = stream ? stream->size() : corpus->size();
+
+  Overlay overlay{config};
+  dht::Dht& ring = overlay.dht();
   net::TrafficLedger ledger;
   storage::DhtStore store{ring, ledger, config.replication};
   index::IndexService service{ring, ledger, config.cache_capacity, config.replication};
@@ -119,7 +153,10 @@ SimulationResults run_simulation(const SimulationConfig& config,
   // the bus's measured ledger counts serialized frame bytes next to the
   // analytic estimates in `ledger`. The in-process transport delivers
   // synchronously (zero-copy, behaviour identical to direct calls); the
-  // event-queue transport encodes, queues and decodes every frame.
+  // event-queue transport encodes, queues and decodes every frame. Streaming
+  // worlds leave the bus detached (its measured ledger stays empty): their
+  // sharded sessions run on several threads, and MessageBus is
+  // single-threaded.
   std::optional<net::InProcessTransport> in_process;
   std::optional<net::EventQueueTransport> event_queue;
   net::Transport* transport = nullptr;
@@ -131,8 +168,10 @@ SimulationResults run_simulation(const SimulationConfig& config,
     transport = &*in_process;
   }
   net::MessageBus bus{*transport};
-  service.set_bus(&bus);
-  store.set_bus(&bus);
+  if (!stream) {
+    service.set_bus(&bus);
+    store.set_bus(&bus);
+  }
 
   // One ChaosInjector serves both fault planes: churn uses the inherited
   // crash/drop delivery plane (its coin stream is seeded exactly like the old
@@ -154,50 +193,48 @@ SimulationResults run_simulation(const SimulationConfig& config,
   index::IndexBuilder builder{service, store, index::IndexingScheme::make(config.scheme)};
 
   const auto build_start = std::chrono::steady_clock::now();
-  for (const biblio::Article& article : corpus.articles()) {
-    builder.index_file(article.descriptor(), article.file_name(), article.file_bytes);
+  if (stream) {
+    build_streaming_world(config, ring, service, store, *stream);
+  } else {
+    for (const biblio::Article& article : corpus->articles()) {
+      builder.index_file(article.descriptor(), article.file_name(), article.file_bytes);
+    }
   }
   bus.sync();  // flush publish/store frames queued during the build
   const double build_wall_s = wall_seconds_since(build_start);
 #ifdef DHTIDX_AUDIT
   // Phase boundary: the index is fully built, no query has run. Any audit
   // traffic lands before the resets below, so measurements are unaffected.
+  // The audit resolves keys on a twin of the substrate: a protocol substrate
+  // draws a random origin for every lookup, so audit lookups on the real one
+  // would move the feed's routing hops.
+  Overlay audit_overlay{config};
   audit::Options audit_options;
   audit_options.scheme = &builder.scheme();
-  audit::audit_or_throw("post-build", ring, service, store, audit_options);
+  audit::audit_or_throw("post-build", audit_overlay.dht(), service, store, audit_options);
 #endif
   // Index construction traffic is not part of the per-query measurements --
   // neither the analytic estimates nor the measured wire bytes.
   ledger.reset();
   bus.measured().reset();
-  if (chord_substrate) chord_substrate->routing_stats().reset();
-  if (can_substrate) can_substrate->routing_stats().reset();
-  if (pastry_substrate) pastry_substrate->routing_stats().reset();
+  if (net::TrafficStats* routing = overlay.routing_stats()) routing->reset();
 
   // --- run the query feed ---------------------------------------------------
   index::LookupEngine engine{service, store, {config.policy}};
-  workload::PopularityModel popularity{corpus.size(), config.popularity_c,
+  workload::PopularityModel popularity{articles, config.popularity_c,
                                        config.popularity_alpha};
   workload::StructureModel structure =
       config.structure_weights.empty() ? workload::StructureModel{}
                                        : workload::StructureModel{config.structure_weights};
-  workload::QueryGenerator generator{corpus, std::move(popularity), std::move(structure),
-                                     config.seed};
 
   SimulationResults r;
   r.scheme = config.scheme;
   r.policy = config.policy;
   r.cache_capacity = config.cache_capacity;
   r.nodes = config.nodes;
-  r.articles = corpus.size();
+  r.articles = articles;
   r.queries = config.queries;
-
-  std::uint64_t total_interactions = 0;
-  std::uint64_t total_generalizations = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t first_node_hits = 0;
-  // dhtidx-lint: allow(hot-path-map) "touched once per visited node per session, not per delta; sorted iteration drives deterministic load fractions"
-  std::map<Id, std::uint64_t> node_touches;
+  FeedTotals feed;
 
   // --- churn schedule --------------------------------------------------------
   const bool churn_enabled = config.churn.enabled();
@@ -225,114 +262,108 @@ SimulationResults run_simulation(const SimulationConfig& config,
   double heal_clock_ms = 0.0;
   const auto feed_start = std::chrono::steady_clock::now();
   const auto republish_all = [&](std::uint64_t now) {
-    for (const biblio::Article& article : corpus.articles()) {
+    for (const biblio::Article& article : corpus->articles()) {
       const std::string name = article.file_name();
       builder.republish(article.descriptor(), now, &name, article.file_bytes);
     }
   };
 
-  for (std::size_t i = 0; i < config.queries; ++i) {
-    if (churn_enabled && !churned && i >= crash_at) {
-      // Crash a deterministic sample of nodes: their disks (index partition
-      // and record store) are gone and RPCs to them fail. Ring membership is
-      // left untouched -- the failures are undetected by the substrate, which
-      // is exactly what replica failover has to survive.
-      Rng churn_rng{config.seed ^ 0x0c11a05ull};
-      std::vector<Id> members = ring.node_ids();
-      std::sort(members.begin(), members.end());
-      const std::size_t to_crash = static_cast<std::size_t>(
-          config.churn.crash_fraction * static_cast<double>(members.size()));
-      for (std::size_t k = 0; k < to_crash && !members.empty(); ++k) {
-        const std::size_t pick = churn_rng.next_index(members.size());
-        const Id victim = members[pick];
-        members.erase(members.begin() + static_cast<std::ptrdiff_t>(pick));
-        injector->crash(victim);
-        r.mappings_lost += service.drop_node(victim);
-        r.records_lost += store.drop_node(victim);
-        crashed_ids.push_back(victim);
-      }
-      r.crashed_nodes = crashed_ids.size();
-      for (std::size_t j = 0; j < config.churn.joins; ++j) {
-        ring_substrate->add(Id::hash("joined-" + std::to_string(j)));
-      }
-      r.joined_nodes = config.churn.joins;
-      injector->set_drop_probability(config.churn.drop_probability);
-      churned = true;
-    }
-    if (churned && config.churn.republish_interval != 0 && i > crash_at &&
-        (i - crash_at) % config.churn.republish_interval == 0) {
-      // Publisher soft-state refresh: re-announce records and mappings so
-      // copies lost in the crash are re-created on the surviving replicas.
-      republish_all(i);
-      ++r.republish_rounds;
-    }
-    if (chaos_enabled && !chaos_started && i >= chaos_start_at) {
-      // The adversary wakes up: frames start suffering seeded faults and a
-      // deterministic node sample is cut off behind an asymmetric partition.
-      // Unlike a crash, partitioned nodes keep their disks — the interesting
-      // failure mode is the stale state they host until the heal.
-      net::ChaosProfile profile;
-      profile.drop_probability = config.chaos.drop_probability;
-      profile.corrupt_probability = config.chaos.corrupt_probability;
-      profile.duplicate_probability = config.chaos.duplicate_probability;
-      profile.delay_probability = config.chaos.delay_probability;
-      profile.delay_ms = config.chaos.delay_ms;
-      profile.reorder_probability = config.chaos.reorder_probability;
-      profile.reorder_window_ms = config.chaos.reorder_window_ms;
-      injector->set_profile(profile);
-      if (config.chaos.partition_fraction > 0.0) {
-        Rng partition_rng{config.seed ^ 0x9a2717ull};
+  if (stream) {
+    const workload::StreamingWorkload workload{*stream, std::move(popularity),
+                                               std::move(structure), config.seed};
+    feed = feed_streaming_world(config, ring, service, store, workload);
+  } else {
+    workload::QueryGenerator generator{*corpus, std::move(popularity), std::move(structure),
+                                       config.seed};
+    for (std::size_t i = 0; i < config.queries; ++i) {
+      if (churn_enabled && !churned && i >= crash_at) {
+        // Crash a deterministic sample of nodes: their disks (index partition
+        // and record store) are gone and RPCs to them fail. Ring membership is
+        // left untouched -- the failures are undetected by the substrate, which
+        // is exactly what replica failover has to survive.
+        Rng churn_rng{config.seed ^ 0x0c11a05ull};
         std::vector<Id> members = ring.node_ids();
         std::sort(members.begin(), members.end());
-        const std::size_t to_isolate = static_cast<std::size_t>(
-            config.chaos.partition_fraction * static_cast<double>(members.size()));
-        std::vector<Id> victims;
-        victims.reserve(to_isolate);
-        for (std::size_t k = 0; k < to_isolate && !members.empty(); ++k) {
-          const std::size_t pick = partition_rng.next_index(members.size());
-          victims.push_back(members[pick]);
+        const std::size_t to_crash = static_cast<std::size_t>(
+            config.churn.crash_fraction * static_cast<double>(members.size()));
+        for (std::size_t k = 0; k < to_crash && !members.empty(); ++k) {
+          const std::size_t pick = churn_rng.next_index(members.size());
+          const Id victim = members[pick];
           members.erase(members.begin() + static_cast<std::ptrdiff_t>(pick));
+          injector->crash(victim);
+          r.mappings_lost += service.drop_node(victim);
+          r.records_lost += store.drop_node(victim);
+          crashed_ids.push_back(victim);
         }
-        injector->install_partition(victims);
-        r.partitioned_nodes = victims.size();
+        r.crashed_nodes = crashed_ids.size();
+        for (std::size_t j = 0; j < config.churn.joins; ++j) {
+          overlay.ring->add(Id::hash("joined-" + std::to_string(j)));
+        }
+        r.joined_nodes = config.churn.joins;
+        injector->set_drop_probability(config.churn.drop_probability);
+        churned = true;
       }
-      chaos_started = true;
-    }
-    if (chaos_started && !chaos_healed && i >= chaos_heal_at) {
-      injector->clear_profile();
-      injector->heal();
-      chaos_healed = true;
-      heal_clock_ms = event_queue->clock_ms();
-    }
+      if (churned && config.churn.republish_interval != 0 && i > crash_at &&
+          (i - crash_at) % config.churn.republish_interval == 0) {
+        // Publisher soft-state refresh: re-announce records and mappings so
+        // copies lost in the crash are re-created on the surviving replicas.
+        republish_all(i);
+        ++r.republish_rounds;
+      }
+      if (chaos_enabled && !chaos_started && i >= chaos_start_at) {
+        // The adversary wakes up: frames start suffering seeded faults and a
+        // deterministic node sample is cut off behind an asymmetric partition.
+        // Unlike a crash, partitioned nodes keep their disks — the interesting
+        // failure mode is the stale state they host until the heal.
+        net::ChaosProfile profile;
+        profile.drop_probability = config.chaos.drop_probability;
+        profile.corrupt_probability = config.chaos.corrupt_probability;
+        profile.duplicate_probability = config.chaos.duplicate_probability;
+        profile.delay_probability = config.chaos.delay_probability;
+        profile.delay_ms = config.chaos.delay_ms;
+        profile.reorder_probability = config.chaos.reorder_probability;
+        profile.reorder_window_ms = config.chaos.reorder_window_ms;
+        injector->set_profile(profile);
+        if (config.chaos.partition_fraction > 0.0) {
+          Rng partition_rng{config.seed ^ 0x9a2717ull};
+          std::vector<Id> members = ring.node_ids();
+          std::sort(members.begin(), members.end());
+          const std::size_t to_isolate = static_cast<std::size_t>(
+              config.chaos.partition_fraction * static_cast<double>(members.size()));
+          std::vector<Id> victims;
+          victims.reserve(to_isolate);
+          for (std::size_t k = 0; k < to_isolate && !members.empty(); ++k) {
+            const std::size_t pick = partition_rng.next_index(members.size());
+            victims.push_back(members[pick]);
+            members.erase(members.begin() + static_cast<std::ptrdiff_t>(pick));
+          }
+          injector->install_partition(victims);
+          r.partitioned_nodes = victims.size();
+        }
+        chaos_started = true;
+      }
+      if (chaos_started && !chaos_healed && i >= chaos_heal_at) {
+        injector->clear_profile();
+        injector->heal();
+        chaos_healed = true;
+        heal_clock_ms = event_queue->clock_ms();
+      }
 
-    const workload::Request request = generator.next();
-    const query::Query target = corpus.article(request.article_index).msd();
-    const index::LookupOutcome outcome = engine.resolve(request.query, target);
+      const workload::Request request = generator.next();
+      const query::Query target = corpus->article(request.article_index).msd();
+      const index::LookupOutcome outcome = engine.resolve(request.query, target);
 
-    total_interactions += static_cast<std::uint64_t>(outcome.interactions);
-    total_generalizations += static_cast<std::uint64_t>(outcome.generalization_steps);
-    if (!outcome.found) ++r.failed_lookups;
-    if (outcome.non_indexed) ++r.non_indexed_queries;
-    if (outcome.cache_hit) {
-      ++hits;
-      if (outcome.cache_hit_position == 1) ++first_node_hits;
-    }
-    r.rpc_failures += static_cast<std::uint64_t>(outcome.rpc_failures);
-    if (outcome.degraded) ++r.degraded_sessions;
-    if (outcome.gave_up) ++r.gave_up_sessions;
-    if (outcome.unreachable) ++r.unreachable_sessions;
-    r.stale_shortcut_invalidations += static_cast<std::size_t>(outcome.stale_shortcuts);
-    if (churned) {
-      ++r.sessions_after_churn;
-      post_churn_interactions += static_cast<std::uint64_t>(outcome.interactions);
-      if (!outcome.found) ++r.failed_after_churn;
-      if (!outcome.non_indexed) {
-        ++r.indexed_sessions_after_churn;
-        if (!outcome.found) ++r.indexed_failed_after_churn;
+      feed.fold(outcome);
+      if (churned) {
+        ++r.sessions_after_churn;
+        post_churn_interactions += static_cast<std::uint64_t>(outcome.interactions);
+        if (!outcome.found) ++r.failed_after_churn;
+        if (!outcome.non_indexed) {
+          ++r.indexed_sessions_after_churn;
+          if (!outcome.found) ++r.indexed_failed_after_churn;
+        }
       }
     }
-    std::set<Id> unique_nodes(outcome.visited_nodes.begin(), outcome.visited_nodes.end());
-    for (const Id& node : unique_nodes) ++node_touches[node];
   }
 
   // Short feeds (or heal_point >= 1.0) can end before the scheduled heal;
@@ -348,14 +379,26 @@ SimulationResults run_simulation(const SimulationConfig& config,
   r.build_wall_s = build_wall_s;
   r.feed_wall_s = wall_seconds_since(feed_start);
   r.peak_rss_bytes = dhtidx::peak_rss_bytes();
+  r.rpc_failures = feed.rpc_failures;
+  r.failed_lookups = feed.failed_lookups;
+  r.non_indexed_queries = feed.non_indexed;
+  r.degraded_sessions = feed.degraded;
+  r.gave_up_sessions = feed.gave_up;
+  r.unreachable_sessions = feed.unreachable;
+  r.stale_shortcut_invalidations = feed.stale_shortcuts;
+  // The sequential feed charges `ledger` directly; sharded workers charge
+  // their own ledgers, which FeedTotals carries back.
+  ledger.merge(feed.ledger);
   const double n_queries = static_cast<double>(config.queries);
-  r.avg_interactions = static_cast<double>(total_interactions) / n_queries;
-  r.avg_generalization_steps = static_cast<double>(total_generalizations) / n_queries;
+  r.avg_interactions = static_cast<double>(feed.interactions) / n_queries;
+  r.avg_generalization_steps = static_cast<double>(feed.generalizations) / n_queries;
   r.normal_traffic_per_query = static_cast<double>(ledger.normal_bytes()) / n_queries;
   r.cache_traffic_per_query = static_cast<double>(ledger.cache.bytes()) / n_queries;
-  r.hit_ratio = static_cast<double>(hits) / n_queries;
+  r.hit_ratio = static_cast<double>(feed.hits) / n_queries;
   r.first_node_hit_share =
-      hits == 0 ? 0.0 : static_cast<double>(first_node_hits) / static_cast<double>(hits);
+      feed.hits == 0 ? 0.0
+                     : static_cast<double>(feed.first_node_hits) /
+                           static_cast<double>(feed.hits);
   r.ledger = ledger;
 
   // Measured wire traffic: flush any frames still queued from the last
@@ -421,23 +464,20 @@ SimulationResults run_simulation(const SimulationConfig& config,
   r.index_bytes = totals.bytes;
   r.data_bytes = store.total_bytes();
 
-  if (chord_substrate || can_substrate || pastry_substrate) {
-    const net::TrafficStats& routing =
-        chord_substrate ? chord_substrate->routing_stats()
-        : can_substrate ? can_substrate->routing_stats()
-                        : pastry_substrate->routing_stats();
-    r.routing_bytes = routing.bytes();
+  if (const net::TrafficStats* routing = overlay.routing_stats()) {
+    r.routing_bytes = routing->bytes();
     r.avg_routing_hops_per_lookup =
-        total_interactions == 0
+        feed.interactions == 0
             ? 0.0
-            : static_cast<double>(routing.messages()) / static_cast<double>(total_interactions);
+            : static_cast<double>(routing->messages()) / static_cast<double>(feed.interactions);
   }
 
   // Figure 15: per-node share of queries, busiest first.
   r.node_load_fractions.reserve(nodes.size());
   for (const Id& node : nodes) {
-    const auto it = node_touches.find(node);
-    const double touches = it == node_touches.end() ? 0.0 : static_cast<double>(it->second);
+    const auto it = feed.node_touches.find(node);
+    const double touches =
+        it == feed.node_touches.end() ? 0.0 : static_cast<double>(it->second);
     r.node_load_fractions.push_back(touches / n_queries);
   }
   std::sort(r.node_load_fractions.begin(), r.node_load_fractions.end(), std::greater<>());
@@ -450,7 +490,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
   if ((churned || chaos_started) && config.churn.repair_at_end) {
     injector->set_drop_probability(0.0);
     for (const Id& dead : crashed_ids) {
-      ring_substrate->remove(dead);
+      overlay.ring->remove(dead);
       injector->recover(dead);
     }
     r.repair_moves += store.rebalance();

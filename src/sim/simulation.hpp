@@ -5,9 +5,13 @@
 // ... Each simulation consists of sequentially feeding the indexing network
 // with 50,000 queries from our query generator."
 //
-// Simulation wires the whole stack together -- corpus, ring, storage, index
-// service, lookup engine, query generator -- runs the query feed, and
-// collects every metric of Figures 11-15 and Table I.
+// run_simulation is the one simulation driver. It checks the config once,
+// builds the world from one of two sources -- a materialized Corpus indexed
+// through IndexBuilder, or the streaming ArticleStream built by
+// build_streaming_world (sim/sharded.hpp) -- runs the matching feed (the
+// sequential loop with its churn and chaos schedules, or
+// feed_streaming_world), and fills SimulationResults, every metric of
+// Figures 11-15 and Table I, from one collector over the feed's FeedTotals.
 #pragma once
 
 #include <optional>
@@ -141,7 +145,9 @@ struct SimulationConfig {
 ///
 /// A shared corpus can be passed in so that sweeps over schemes/policies
 /// reuse the same database (as the paper does); when absent it is generated
-/// from config.corpus.
+/// from config.corpus. Streaming runs synthesize their own articles and
+/// reject a shared corpus. Unsupported configurations throw InvariantError
+/// before anything is built.
 SimulationResults run_simulation(const SimulationConfig& config,
                                  const biblio::Corpus* shared_corpus = nullptr);
 

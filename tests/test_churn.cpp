@@ -299,6 +299,40 @@ TEST(ChurnLookup, PurgeStaleShortcutsDropsEntriesForLostRecords) {
   EXPECT_EQ(stack.engine.purge_stale_shortcuts(), 0u);
 }
 
+/// Records nothing: the frozen-snapshot mode the sharded feed's lookup
+/// sub-phase runs in, minus the replay.
+struct DiscardingRecorder final : index::CacheDeltaRecorder {
+  void record_touch(const Id&, const Query&, const Query&) override {}
+  void record_install(const Id&, const Query&, const Query&) override {}
+  void record_invalidate(const Id&, const Query&, const Query&) override {}
+};
+
+TEST(ChurnLookup, RecorderModeSkipsAnInvalidatedShortcutLikeInlineMode) {
+  // In recorder mode a failed jump only records the invalidation; the frozen
+  // cache still holds the entry. The session must not jump through it again
+  // on its way back from the jump origin, or it loops to the interaction
+  // budget. Both modes must end the session the same way.
+  const auto stale_session = [](bool recorder_mode) {
+    FaultyStack stack{/*replication=*/1, index::CachePolicy::kSingle, 15, 25};
+    const auto& a = stack.corpus->article(0);
+    EXPECT_TRUE(stack.engine.resolve(a.author_query(), a.msd()).found);
+    stack.store.drop_node(stack.ring.lookup(a.msd().key()).node);
+    DiscardingRecorder recorder;
+    if (recorder_mode) stack.engine.set_cache_recorder(&recorder);
+    return stack.engine.resolve(a.author_query(), a.msd());
+  };
+  const index::LookupOutcome inline_mode = stale_session(false);
+  const index::LookupOutcome recorder_mode = stale_session(true);
+
+  EXPECT_EQ(inline_mode.stale_shortcuts, 1);
+  EXPECT_FALSE(inline_mode.gave_up);
+  EXPECT_EQ(recorder_mode.found, inline_mode.found);
+  EXPECT_EQ(recorder_mode.interactions, inline_mode.interactions);
+  EXPECT_EQ(recorder_mode.gave_up, inline_mode.gave_up);
+  EXPECT_EQ(recorder_mode.stale_shortcuts, inline_mode.stale_shortcuts);
+  EXPECT_EQ(recorder_mode.non_indexed, inline_mode.non_indexed);
+}
+
 TEST(ChurnSimulation, ReplicationMeetsTheAvailabilityTarget) {
   sim::SimulationConfig base;
   base.nodes = 48;
