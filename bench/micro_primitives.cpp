@@ -379,6 +379,46 @@ void BM_ResolveAuthorQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ResolveAuthorQuery);
 
+// Hop selection over a long posting list: one key with 1,000 targets that do
+// not cover the wanted MSD and three that do (the list of the lookup test
+// HopSelectionOverLongListMatchesCoversScan). One session per iteration:
+// contact the key and pick the next hop from its 1,003 targets, contact
+// that hop, fetch the file.
+void BM_SelectHop(benchmark::State& state) {
+  net::TrafficLedger ledger;
+  dht::Ring ring = dht::Ring::with_nodes(25);
+  storage::DhtStore store{ring, ledger};
+  index::IndexService service{ring, ledger};
+  const query::Query msd = query::Query::parse(
+      "/article[author[first/Ann][last/Smith]][conf/INFOCOM][title/TCP][year/1996]");
+  const query::Query source = query::Query::parse("/article/conf/INFOCOM");
+  const query::Query hops[] = {
+      query::Query::parse("/article[conf/INFOCOM][year/1996]"),
+      query::Query::parse("/article[author/last/Smith][conf/INFOCOM][year/1996]"),
+      query::Query::parse("/article[conf/INFOCOM][title^=T][year/1996]")};
+  service.insert(source, hops[0]);
+  for (int i = 0; i < 1000; ++i) {
+    if (i == 500) service.insert(source, hops[1]);
+    query::Query t = source;
+    const std::string n = std::to_string(i);
+    switch (i % 4) {
+      case 0: t.add_field("title", "Paper " + n); break;
+      case 1: t.add_field("year", std::to_string(2000 + i)); break;
+      case 2: t.add_prefix("title", "P" + n); break;
+      default: t.add_field("author/last", "Doe" + n).add_field("year", "1996"); break;
+    }
+    service.insert(source, t);
+  }
+  service.insert(source, hops[2]);
+  for (const query::Query& hop : hops) service.insert(hop, msd);
+  store.put(msd.key(), storage::Record{"file", "tcp.pdf", 1000});
+  index::LookupEngine engine{service, store, {index::CachePolicy::kNone}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.resolve(source, msd));
+  }
+}
+BENCHMARK(BM_SelectHop);
+
 /// Console output as usual, plus one JSON line per benchmark at the end of
 /// the run (the BENCH_*.json trajectory format shared with the sweeps).
 class JsonLineReporter : public benchmark::ConsoleReporter {

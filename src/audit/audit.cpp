@@ -34,7 +34,7 @@ std::string record_fact(const Id& key, const storage::Record& record) {
 std::vector<std::string> mapping_facts(const index::IndexService& service) {
   std::vector<std::string> facts;
   for (const auto& [node, state] : service.states()) {
-    for (const auto& [source, targets] : state.entries()) {
+    for (const auto& [source, targets, bytes] : state.entries()) {
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         facts.push_back(mapping_fact(source->canonical(), ref.target->canonical()));
       }
@@ -137,7 +137,7 @@ const std::vector<Auditor::StoredMsd>& Auditor::stored_msds() {
 void Auditor::check_covering(Report& report) {
   SectionStats& section = report.section(Invariant::kCovering);
   for (const auto& [node, state] : service_.states()) {
-    for (const auto& [source, targets] : state.entries()) {
+    for (const auto& [source, targets, bytes] : state.entries()) {
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         ++section.checked;
         if (!source->covers(*ref.target)) {
@@ -177,7 +177,7 @@ void Auditor::check_reachability(Report& report) {
     const Id node = dht_.lookup(q.key()).node;
     const auto state = service_.states().find(node);
     const TargetRefs* targets =
-        state == service_.states().end() ? nullptr : &state->second.targets_of(q);
+        state == service_.states().end() ? nullptr : &state->second.entry_of(q).targets;
     targets_memo.emplace(q.canonical(), targets);
     return targets;
   };
@@ -223,7 +223,7 @@ void Auditor::check_acyclicity(Report& report) {
   SectionStats& section = report.section(Invariant::kAcyclicity);
   std::map<std::string, std::vector<std::string>> graph;
   for (const auto& [node, state] : service_.states()) {
-    for (const auto& [source, targets] : state.entries()) {
+    for (const auto& [source, targets, bytes] : state.entries()) {
       auto& out = graph[source->canonical()];
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         ++section.checked;
@@ -273,7 +273,7 @@ void Auditor::check_placement(Report& report) {
   // memoize by canonical source so chord runs do not re-route per mapping.
   std::unordered_map<std::string, std::vector<Id>> replica_memo;
   for (const auto& [node, state] : service_.states()) {
-    for (const auto& [source, targets] : state.entries()) {
+    for (const auto& [source, targets, bytes] : state.entries()) {
       ++section.checked;
       const std::string& canonical = source->canonical();
       auto memo = replica_memo.find(canonical);
@@ -463,7 +463,7 @@ void Auditor::check_replica_consistency(Report& report) {
   };
   std::map<std::string, Fact> facts;
   for (const auto& [node, state] : service_.states()) {
-    for (const auto& [source, targets] : state.entries()) {
+    for (const auto& [source, targets, bytes] : state.entries()) {
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         facts.emplace(mapping_fact(source->canonical(), ref.target->canonical()),
                       Fact{source, ref.target});

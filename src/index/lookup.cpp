@@ -14,7 +14,7 @@ namespace dhtidx::index {
 using query::Query;
 
 namespace {
-const std::vector<IndexNodeState::TargetRef> kNoTargets;
+const IndexNodeState::SourceEntry kNoEntry{nullptr, {}};
 }
 
 LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_msd) {
@@ -35,6 +35,9 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
   // never allocated, unless a jump failed.
   std::vector<std::pair<Id, const Query*>> invalidated;
   std::deque<Query> scratch;
+  // A target with a signature bit outside this one cannot cover target_msd
+  // (Query::signature), so the selection below skips it without covers().
+  const std::uint64_t msd_signature = target_msd.signature();
 
   const Query* q = &initial;
   while (outcome.interactions < config_.max_interactions) {
@@ -149,13 +152,10 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
       }
     }
 
-    const std::vector<IndexNodeState::TargetRef>& targets =
-        contact.state != nullptr ? contact.state->targets_of(*q) : kNoTargets;
-    std::uint64_t response_bytes = net::kMessageOverheadBytes;
-    for (const IndexNodeState::TargetRef& ref : targets) {
-      response_bytes += ref.target->byte_size();
-    }
-    ledger.responses.record(response_bytes);
+    const IndexNodeState::SourceEntry& entry =
+        contact.state != nullptr ? contact.state->entry_of(*q) : kNoEntry;
+    const std::vector<IndexNodeState::TargetRef>& targets = entry.targets;
+    ledger.responses.record(entry.target_bytes + net::kMessageOverheadBytes);
 
     // The user picks the result that matches the article they are after: the
     // one covering (or equal to) the target MSD. Among several matches the
@@ -163,6 +163,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     // popular content, Section IV-C) take precedence over intermediate keys.
     const Query* next = nullptr;
     for (const IndexNodeState::TargetRef& ref : targets) {
+      if ((ref.signature & ~msd_signature) != 0) continue;
       const Query& t = *ref.target;
       if (t != target_msd && !t.covers(target_msd)) continue;
       if (next == nullptr || t.constraints().size() > next->constraints().size()) {

@@ -6,7 +6,7 @@
 namespace dhtidx::index {
 
 namespace {
-const std::vector<IndexNodeState::TargetRef> kNoTargets;
+const IndexNodeState::SourceEntry kNoEntry{nullptr, {}};
 }
 
 std::vector<IndexNodeState::SourceEntry>::iterator IndexNodeState::lower_bound(
@@ -54,7 +54,8 @@ bool IndexNodeState::add_interned(const query::Query* s, const query::Query* t,
   }
   if (inserted) bytes_ += s->byte_size();
   bytes_ += t->byte_size();
-  it->targets.push_back(TargetRef{t, now});
+  it->target_bytes += t->byte_size();
+  it->targets.push_back(TargetRef{t, now, t->signature()});
   ++mapping_count_;
   return true;
 }
@@ -86,10 +87,10 @@ std::optional<std::uint64_t> IndexNodeState::refresh_stamp(
   return pos->stamp;
 }
 
-const std::vector<IndexNodeState::TargetRef>& IndexNodeState::targets_of(
+const IndexNodeState::SourceEntry& IndexNodeState::entry_of(
     const query::Query& source) const {
   const auto it = find_entry(source);
-  return it == entries_.end() ? kNoTargets : it->targets;
+  return it == entries_.end() ? kNoEntry : *it;
 }
 
 bool IndexNodeState::has_source(const query::Query& source) const {
@@ -118,6 +119,7 @@ bool IndexNodeState::remove_interned(const query::Query* source,
   });
   if (pos == targets.end()) return false;
   bytes_ -= target->byte_size();
+  it->target_bytes -= target->byte_size();
   targets.erase(pos);
   --mapping_count_;
   if (targets.empty()) {

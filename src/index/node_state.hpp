@@ -24,16 +24,21 @@ namespace dhtidx::index {
 /// The index partition held by one DHT node.
 class IndexNodeState {
  public:
-  /// One registered target plus the soft-state refresh stamp of its mapping.
+  /// One registered target plus the soft-state refresh stamp of its mapping
+  /// and the target's Query::signature(), so lookups skip targets that
+  /// cannot cover the wanted MSD without calling covers().
   struct TargetRef {
     const query::Query* target;
     std::uint64_t stamp;
+    std::uint64_t signature;
   };
 
-  /// One index key (source query) and its targets in insertion order.
+  /// One index key (source query), its targets in insertion order, and the
+  /// sum of their byte_size(): the payload of a lookup(source) response.
   struct SourceEntry {
     const query::Query* source;
     std::vector<TargetRef> targets;
+    std::uint64_t target_bytes = 0;
   };
 
   /// `interner` is the query pool shared across the service (must outlive
@@ -56,9 +61,9 @@ class IndexNodeState {
   bool add_interned(const query::Query* source, const query::Query* target,
                     std::uint64_t now = 0);
 
-  /// Targets registered under `source` with their stamps, insertion order
-  /// (empty when none).
-  const std::vector<TargetRef>& targets_of(const query::Query& source) const;
+  /// The entry of `source`: its targets in insertion order and their byte
+  /// sum (an empty entry when none is registered).
+  const SourceEntry& entry_of(const query::Query& source) const;
 
   /// True when any mapping is registered under `source`.
   bool has_source(const query::Query& source) const;

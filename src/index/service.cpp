@@ -77,7 +77,7 @@ void IndexService::wire_lookup(const query::Query& q, const Id& node,
     // Serve from the contacted node's live state at delivery time.
     net::Message response = net::Message::response_to(m);
     if (const IndexNodeState* state = find_state(m.to); state != nullptr) {
-      for (const IndexNodeState::TargetRef& ref : state->targets_of(q)) {
+      for (const IndexNodeState::TargetRef& ref : state->entry_of(q).targets) {
         response.payload.push_back(ref.target->canonical());
       }
       if (consider_cache) {
@@ -261,13 +261,15 @@ IndexService::Reply IndexService::lookup(const query::Query& q, net::Action acti
   reply.replicas_tried = contacted.replicas_tried;
   reply.unreachable = contacted.unreachable;
   if (contacted.unreachable) return reply;
-  if (contacted.state != nullptr) {
-    const auto& targets = contacted.state->targets_of(q);
-    reply.targets.reserve(targets.size());
-    for (const IndexNodeState::TargetRef& ref : targets) reply.targets.push_back(ref.target);
-  }
   std::uint64_t response_bytes = net::kMessageOverheadBytes;
-  for (const query::Query* t : reply.targets) response_bytes += t->byte_size();
+  if (contacted.state != nullptr) {
+    const IndexNodeState::SourceEntry& entry = contacted.state->entry_of(q);
+    reply.targets.reserve(entry.targets.size());
+    for (const IndexNodeState::TargetRef& ref : entry.targets) {
+      reply.targets.push_back(ref.target);
+    }
+    response_bytes += entry.target_bytes;
+  }
   net::active(ledger_).responses.record(response_bytes);
   return reply;
 }
@@ -323,7 +325,7 @@ std::size_t IndexService::rebalance() {
   };
   std::vector<Move> moves;
   for (const auto& [node, state] : states_) {
-    for (const auto& [source, targets] : state.entries()) {
+    for (const auto& [source, targets, bytes] : state.entries()) {
       const std::vector<Id> replicas = dht_.replica_set(source->key(), replication_);
       if (std::find(replicas.begin(), replicas.end(), node) != replicas.end()) continue;
       for (const IndexNodeState::TargetRef& ref : targets) {
@@ -388,7 +390,7 @@ std::size_t IndexService::rebalance() {
     // dhtidx-lint: allow(hot-path-map) "sorted canonical order makes repair placement deterministic; maintenance path, not per-query"
     std::map<std::string, Fact> facts;
     for (const auto& [node, state] : states_) {
-      for (const auto& [source, targets] : state.entries()) {
+      for (const auto& [source, targets, bytes] : state.entries()) {
         for (const IndexNodeState::TargetRef& ref : targets) {
           const std::string key = source->canonical() + '\x1f' + ref.target->canonical();
           auto [it, inserted] = facts.try_emplace(key, Fact{source, ref.target, ref.stamp});

@@ -17,7 +17,7 @@ std::string save_snapshot(const index::IndexService& service,
 
   xml::Element& index = root.add_child(xml::Element{"index"});
   for (const auto& [node, state] : service.states()) {
-    for (const auto& [source, targets] : state.entries()) {
+    for (const auto& [source, targets, bytes] : state.entries()) {
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         xml::Element mapping{"mapping"};
         mapping.set_attribute("source", source->canonical());

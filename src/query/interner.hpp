@@ -43,7 +43,8 @@ class QueryInterner {
   QueryInterner& operator=(const QueryInterner&) = delete;
 
   /// The canonical instance equal to `q`, created on first sight. The
-  /// returned query has its canonical string and DHT key pre-computed.
+  /// returned query has its canonical string (with its signature) and DHT
+  /// key pre-computed.
   /// Probes before copying: re-interning an already-pooled query (the steady
   /// state of republish and shortcut-refresh traffic) costs one hash lookup,
   /// no Query copy.

@@ -1,6 +1,7 @@
 #include "query/query.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -8,6 +9,8 @@
 namespace dhtidx::query {
 
 namespace {
+
+bool is_wildcard(const std::string& step) { return step.size() == 1 && step[0] == '*'; }
 
 bool name_matches(const std::string& pattern, const std::string& name) {
   return pattern == "*" || pattern == name;
@@ -89,6 +92,13 @@ void append_quoted(std::string& out, std::string_view value) {
   out.push_back('\'');
 }
 
+/// The signature bit of an exact, anchored, wildcard-free constraint, picked
+/// by a hash of its canonical text "[path=value]": a function of the path
+/// and the exact value alone.
+std::uint64_t signature_bit(std::string_view constraint_text) {
+  return std::uint64_t{1} << (std::hash<std::string_view>{}(constraint_text) % 64);
+}
+
 }  // namespace
 
 std::string Constraint::path_string() const { return join(path, "/"); }
@@ -141,7 +151,9 @@ void Query::normalize() {
 const std::string& Query::canonical() const {
   if (!canonical_cache_.empty()) return canonical_cache_;
   std::string out = "/" + root_;
+  std::uint64_t signature = 0;
   for (const Constraint& c : constraints_) {
+    const std::size_t begin = out.size();
     out.push_back('[');
     if (c.descendant) out += "//";
     out += c.path_string();
@@ -159,8 +171,13 @@ const std::string& Query::canonical() const {
       out += "=*";
     }
     out.push_back(']');
+    if (c.value && !c.value_is_prefix && !c.descendant &&
+        std::none_of(c.path.begin(), c.path.end(), is_wildcard)) {
+      signature |= signature_bit(std::string_view{out}.substr(begin));
+    }
   }
   canonical_cache_ = std::move(out);
+  signature_cache_ = signature;
   return canonical_cache_;
 }
 

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <compare>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -106,6 +107,19 @@ class Query {
   /// true) in the presence of wildcards and descendant paths.
   bool covers(const Query& other) const;
 
+  /// A 64-bit filter for covers(): one bit per hashed (path, value) pair of
+  /// every exact-value, anchored, wildcard-free constraint. constraint_implies
+  /// satisfies such a constraint only with an identical one, so
+  /// a.covers(b) implies (a.signature() & ~b.signature()) == 0, and a query
+  /// with a bit outside b's signature cannot cover b. Prefix, presence-only,
+  /// descendant (//) and wildcard-step constraints add no bits. Computed in
+  /// the same pass as canonical() and cached with it, so it is warm wherever
+  /// the canonical form is (every interned query).
+  std::uint64_t signature() const {
+    canonical();
+    return signature_cache_;
+  }
+
   /// True when *this is exactly the most specific query of `doc`.
   bool is_most_specific_of(const xml::Element& doc) const;
 
@@ -135,6 +149,7 @@ class Query {
   // threads must have canonical()/key() called once before it is shared
   // (QueryInterner::intern does exactly that).
   mutable std::string canonical_cache_;
+  mutable std::uint64_t signature_cache_ = 0;  // valid while canonical_cache_ is
   mutable Id key_cache_;
   mutable bool key_cached_ = false;
 };

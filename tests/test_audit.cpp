@@ -165,7 +165,7 @@ class CorruptibleSystem {
   /// An arbitrary existing mapping (the first one in node order).
   std::pair<query::Query, query::Query> some_mapping() {
     for (const auto& [node, state] : service_.states()) {
-      for (const auto& [source, targets] : state.entries()) {
+      for (const auto& [source, targets, bytes] : state.entries()) {
         if (!targets.empty()) return {*source, *targets.front().target};
       }
     }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "biblio/corpus.hpp"
 #include "dht/ring.hpp"
 #include "index/builder.hpp"
@@ -296,6 +299,98 @@ TEST(Lookup, VisitedNodesMatchResponsibleNodes) {
   EXPECT_EQ(outcome.visited_nodes[0], w.ring.successor(a.author_query().key()));
   EXPECT_EQ(outcome.visited_nodes[1], w.ring.successor(a.author_title_query().key()));
   EXPECT_EQ(outcome.visited_nodes[2], w.ring.successor(a.msd().key()));
+}
+
+/// Records the shortcut installs of a session. With a multi-placement policy
+/// there is one per query the walk asked, in walk order.
+class AskedQueries : public CacheDeltaRecorder {
+ public:
+  void record_touch(const Id&, const Query&, const Query&) override {}
+  void record_install(const Id&, const Query& source, const Query&) override {
+    sources.push_back(source.canonical());
+  }
+  void record_invalidate(const Id&, const Query&, const Query&) override {}
+
+  std::vector<std::string> sources;
+};
+
+TEST(Lookup, HopSelectionOverLongListMatchesCoversScan) {
+  // One key with 1,000 targets that do not cover the wanted MSD and three
+  // that do, inserted so both tie-break rules matter: the less specific
+  // match comes first, the most specific one mid-list, and a match just as
+  // specific comes last. Some of the 1,000 pass the signature filter (prefix
+  // constraints add no bits), so covers() still has rejections to make.
+  net::TrafficLedger ledger;
+  dht::Ring ring = dht::Ring::with_nodes(25);
+  storage::DhtStore store{ring, ledger};
+  IndexService service{ring, ledger};
+  const Query msd = Query::parse(
+      "/article[author[first/Ann][last/Smith]][conf/INFOCOM][title/TCP][year/1996]");
+  const Query source = Query::parse("/article/conf/INFOCOM");
+  const Query less = Query::parse("/article[conf/INFOCOM][year/1996]");
+  const Query most = Query::parse("/article[author/last/Smith][conf/INFOCOM][year/1996]");
+  const Query tie = Query::parse("/article[conf/INFOCOM][title^=T][year/1996]");
+  service.insert(source, less);
+  for (int i = 0; i < 1000; ++i) {
+    if (i == 500) service.insert(source, most);
+    Query t = source;
+    const std::string n = std::to_string(i);
+    switch (i % 4) {
+      case 0: t.add_field("title", "Paper " + n); break;
+      case 1: t.add_field("year", std::to_string(2000 + i)); break;
+      case 2: t.add_prefix("title", "P" + n); break;
+      default: t.add_field("author/last", "Doe" + n).add_field("year", "1996"); break;
+    }
+    service.insert(source, t);
+  }
+  service.insert(source, tie);
+  for (const Query* hop : {&less, &most, &tie}) service.insert(*hop, msd);
+  store.put(msd.key(), storage::Record{"file", "tcp.pdf", 1000});
+
+  // Reference: a plain covers() scan of the list with the same rules.
+  const IndexNodeState* state = service.find_state(service.node_for(source));
+  ASSERT_NE(state, nullptr);
+  const std::vector<IndexNodeState::TargetRef>& targets = state->entry_of(source).targets;
+  ASSERT_EQ(targets.size(), 1003u);
+  const Query* expected = nullptr;
+  std::uint64_t list_bytes = 0;
+  std::size_t passed_filter_only = 0;
+  for (const IndexNodeState::TargetRef& ref : targets) {
+    list_bytes += ref.target->byte_size();
+    if (!ref.target->covers(msd)) {
+      if ((ref.signature & ~msd.signature()) == 0) ++passed_filter_only;
+      continue;
+    }
+    if (expected == nullptr ||
+        ref.target->constraints().size() > expected->constraints().size()) {
+      expected = ref.target;
+    }
+  }
+  ASSERT_NE(expected, nullptr);
+  EXPECT_EQ(*expected, most);
+  EXPECT_GE(passed_filter_only, 250u);
+
+  LookupEngine engine{service, store, {CachePolicy::kMulti}};
+  AskedQueries asked;
+  engine.set_cache_recorder(&asked);
+  ledger.reset();
+  const LookupOutcome outcome = engine.resolve(source, msd);
+  ASSERT_TRUE(outcome.found);
+  EXPECT_EQ(outcome.interactions, 3);
+  EXPECT_EQ(asked.sources, (std::vector<std::string>{source.canonical(), most.canonical()}));
+  // Responses: the 1,003-target list, the chosen hop's one target (the MSD)
+  // and the file record.
+  EXPECT_EQ(ledger.responses.messages(), 3u);
+  EXPECT_EQ(ledger.responses.bytes(),
+            (net::kMessageOverheadBytes + list_bytes) +
+                (net::kMessageOverheadBytes + msd.byte_size()) +
+                (net::kMessageOverheadBytes + std::string{"file"}.size() +
+                 std::string{"tcp.pdf"}.size()));
+
+  // lookup(q) charges the same list bytes.
+  ledger.reset();
+  EXPECT_EQ(service.lookup(source).targets.size(), 1003u);
+  EXPECT_EQ(ledger.responses.bytes(), net::kMessageOverheadBytes + list_bytes);
 }
 
 }  // namespace

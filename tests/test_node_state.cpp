@@ -1,0 +1,141 @@
+// The state IndexNodeState keeps beside each mapping so lookups need not
+// rescan posting lists: every entry's response-byte sum and every target's
+// covering signature. Both must stay exact on each path that changes an
+// index: add and republish, remove, soft-state expiry, churn repair and the
+// sharded streaming build.
+#include "index/node_state.hpp"
+
+#include <gtest/gtest.h>
+
+#include "biblio/corpus.hpp"
+#include "biblio/stream.hpp"
+#include "dht/ring.hpp"
+#include "index/builder.hpp"
+#include "index/service.hpp"
+#include "sim/sharded.hpp"
+#include "storage/dht_store.hpp"
+
+namespace dhtidx::index {
+namespace {
+
+using query::Query;
+
+/// `q`'s signature computed from scratch: the query rebuilt constraint by
+/// constraint, with no cache carried over.
+std::uint64_t recomputed_signature(const Query& q) {
+  Query rebuilt{q.root()};
+  for (const query::Constraint& c : q.constraints()) rebuilt.add_constraint(c);
+  return rebuilt.signature();
+}
+
+/// Every entry's byte sum equals the sum over its targets, and every stored
+/// signature equals the target's recomputed one.
+void expect_exact(const IndexNodeState& state) {
+  for (const auto& [source, targets, bytes] : state.entries()) {
+    std::uint64_t sum = 0;
+    for (const IndexNodeState::TargetRef& ref : targets) {
+      sum += ref.target->byte_size();
+      EXPECT_EQ(ref.signature, recomputed_signature(*ref.target))
+          << source->canonical() << " -> " << ref.target->canonical();
+    }
+    EXPECT_EQ(bytes, sum) << source->canonical();
+  }
+}
+
+/// expect_exact on every partition. Returns the number of mappings checked.
+std::size_t expect_exact(const IndexService& service) {
+  std::size_t mappings = 0;
+  for (const auto& [node, state] : service.states()) {
+    expect_exact(state);
+    mappings += state.mapping_count();
+  }
+  return mappings;
+}
+
+TEST(EntryState, ExactThroughAddRemoveAndExpiry) {
+  IndexNodeState state;
+  const Query source = Query::parse("/article/conf/ICDCS");
+  const Query a = Query::parse("/article[conf/ICDCS][year/2004]");
+  const Query b = Query::parse("/article[conf/ICDCS][title^=T]");
+  const Query c = Query::parse("/article[author/last/Smith][conf/ICDCS]");
+  const auto bytes = [&] { return state.entry_of(source).target_bytes; };
+
+  EXPECT_TRUE(state.add(source, a, 1));
+  EXPECT_TRUE(state.add(source, b, 2));
+  EXPECT_TRUE(state.add(source, c, 3));
+  expect_exact(state);
+  EXPECT_EQ(bytes(), a.byte_size() + b.byte_size() + c.byte_size());
+  EXPECT_NE(state.entry_of(source).targets.front().signature, 0u);
+
+  // A republish only refreshes the stamp.
+  EXPECT_FALSE(state.add(source, a, 5));
+  expect_exact(state);
+  EXPECT_EQ(bytes(), a.byte_size() + b.byte_size() + c.byte_size());
+
+  bool source_now_empty = true;
+  query::QueryInterner& pool = state.interner();
+  EXPECT_TRUE(state.remove_interned(pool.find_existing(source), pool.find_existing(b),
+                                    source_now_empty));
+  EXPECT_FALSE(source_now_empty);
+  expect_exact(state);
+  EXPECT_EQ(bytes(), a.byte_size() + c.byte_size());
+
+  // Stamps are now a=5, c=3.
+  EXPECT_EQ(state.expire_older_than(4), 1u);
+  expect_exact(state);
+  EXPECT_EQ(bytes(), a.byte_size());
+  EXPECT_EQ(state.expire_older_than(6), 1u);
+  EXPECT_TRUE(state.entries().empty());
+  EXPECT_EQ(bytes(), 0u);
+
+  // A key that vanished and comes back starts its sum from zero.
+  EXPECT_TRUE(state.add(source, b, 7));
+  expect_exact(state);
+  EXPECT_EQ(bytes(), b.byte_size());
+}
+
+TEST(EntryState, ExactThroughChurnRepair) {
+  // Replication 2 over a materialized world. Losing one partition makes the
+  // repair pass re-copy its mappings; a member leaving makes the migration
+  // pass move its mappings to the new replica set.
+  net::TrafficLedger ledger;
+  dht::Ring ring = dht::Ring::with_nodes(16);
+  storage::DhtStore store{ring, ledger, 2};
+  IndexService service{ring, ledger, /*cache_capacity=*/0, /*replication=*/2};
+  IndexBuilder builder{service, store, IndexingScheme::complex()};
+  const biblio::Corpus corpus = biblio::Corpus::generate({.articles = 80, .authors = 25});
+  for (const biblio::Article& a : corpus.articles()) {
+    builder.index_file(a.descriptor(), a.file_name(), a.file_bytes);
+  }
+  const std::size_t built = expect_exact(service);
+  ASSERT_GT(built, 0u);
+
+  const std::vector<Id> members = ring.node_ids();
+  EXPECT_GT(service.drop_node(members[0]), 0u);
+  ring.remove(members[1]);
+  EXPECT_GT(service.rebalance(), 0u);
+  EXPECT_EQ(expect_exact(service), built);
+}
+
+TEST(EntryState, ExactAfterShardedStreamingBuild) {
+  for (const std::size_t shards : {1u, 2u}) {
+    sim::SimulationConfig config;
+    config.nodes = 48;
+    config.corpus.articles = 300;
+    config.corpus.authors = 90;
+    config.corpus.conferences = 12;
+    config.streaming = true;
+    config.shards = shards;
+    config.replication = 2;
+    dht::Ring ring = dht::Ring::with_nodes(config.nodes);
+    net::TrafficLedger ledger;
+    storage::DhtStore store{ring, ledger, config.replication};
+    IndexService service{ring, ledger, config.cache_capacity, config.replication};
+    const biblio::ArticleStream stream{config.corpus};
+    sim::build_streaming_world(config, ring, service, store, stream);
+    EXPECT_GT(expect_exact(service), 0u) << "shards " << shards;
+  }
+}
+
+}  // namespace
+}  // namespace dhtidx::index

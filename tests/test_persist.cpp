@@ -78,7 +78,7 @@ TEST(Snapshot, RestoreUnderDifferentMembership) {
   }
   // Placement matches the new ring.
   for (const auto& [node, state] : bigger.service.states()) {
-    for (const auto& [source, targets] : state.entries()) {
+    for (const auto& [source, targets, bytes] : state.entries()) {
       EXPECT_EQ(bigger.ring.successor(source->key()), node);
     }
   }

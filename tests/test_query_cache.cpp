@@ -1,6 +1,7 @@
-// Coherence of the Query lazy caches (canonical form + memoized DHT key) and
-// the QueryInterner's identity guarantees. The hot path leans on both: a
-// stale key cache would route queries to the wrong node, and an interner
+// Coherence of the Query lazy caches (canonical form, covering signature and
+// memoized DHT key) and the QueryInterner's identity guarantees. The hot path
+// leans on both: a stale key cache would route queries to the wrong node, a
+// stale signature would skip a covering target, and an interner
 // returning distinct instances for equal queries would break the
 // pointer-identity probes in the index and shortcut caches.
 #include <gtest/gtest.h>
@@ -75,6 +76,31 @@ TEST(QueryKeyCache, DerivedQueriesHashTheirOwnForm) {
   }
   const Query kept = q.keep_constraints({0});
   EXPECT_EQ(kept.key(), Id::hash(kept.canonical()));
+}
+
+TEST(QuerySignature, RecomputedAfterEveryMutator) {
+  // The signature is cached with the canonical form; a mutation must drop
+  // both. `fresh` rebuilds the query constraint by constraint, so its
+  // signature is computed from scratch.
+  const auto fresh = [](const Query& q) {
+    Query rebuilt{q.root()};
+    for (const query::Constraint& c : q.constraints()) rebuilt.add_constraint(c);
+    return rebuilt.signature();
+  };
+  Query q = Query::parse("/article[author/last=Smith]");
+  const std::uint64_t before = q.signature();
+  EXPECT_NE(before, 0u);
+
+  q.add_field("conf", "INFOCOM");
+  EXPECT_EQ(q.signature(), fresh(q));
+  EXPECT_EQ(q.signature() & before, before);
+
+  q.add_prefix("title", "T");
+  q.add_presence("year");
+  EXPECT_EQ(q.signature(), fresh(q));
+
+  const Query copy = q;
+  EXPECT_EQ(copy.signature(), q.signature());
 }
 
 TEST(QueryInternerTest, EqualSpellingsShareOneInstance) {

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "biblio/corpus.hpp"
 #include "query/query.hpp"
 #include "xml/parser.hpp"
 
@@ -48,6 +49,29 @@ TEST(Covering, Figure3Edges) {
   EXPECT_TRUE(p.q5.covers(p.d3));
   // q6 (last Smith) covers q3.
   EXPECT_TRUE(p.q6.covers(p.q3));
+}
+
+TEST(QuerySignature, Figure3EdgesKeepSignatureSubset) {
+  // Every edge of Figure 3 passes the covering signature filter: the general
+  // query carries bits, and none falls outside the specific one's.
+  const PaperQueries p;
+  const std::pair<const Query*, const Query*> edges[] = {
+      {&p.q4, &p.q1}, {&p.q3, &p.q1}, {&p.q3, &p.q2}, {&p.q3, &p.d2}, {&p.q2, &p.d2},
+      {&p.q5, &p.q2}, {&p.q5, &p.d2}, {&p.q5, &p.d3}, {&p.q6, &p.q3}};
+  for (const auto& [general, specific] : edges) {
+    ASSERT_TRUE(general->covers(*specific));
+    EXPECT_NE(general->signature(), 0u) << general->canonical();
+    EXPECT_EQ(general->signature() & ~specific->signature(), 0u)
+        << general->canonical() << " covers " << specific->canonical();
+  }
+}
+
+TEST(QuerySignature, CorpusMsdsCarryBits) {
+  // The filter only skips work when the wanted MSD has bits to test against.
+  const biblio::Corpus corpus = biblio::Corpus::generate({.articles = 50, .authors = 20});
+  for (const biblio::Article& a : corpus.articles()) {
+    EXPECT_NE(a.msd().signature(), 0u) << a.msd().canonical();
+  }
 }
 
 TEST(Covering, Figure3NonEdges) {

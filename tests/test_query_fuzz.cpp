@@ -1,12 +1,15 @@
 // Randomized property tests over the query algebra: for arbitrary queries
 // and descriptors drawn from a shared vocabulary, the covering relation must
-// be sound w.r.t. matching, canonicalization must round-trip, and the
-// generalization operators must behave monotonically.
+// be sound w.r.t. matching, canonicalization must round-trip, the
+// generalization operators must behave monotonically, and the covering
+// signature must never reject a query that covers.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "query/query.hpp"
 #include "xml/node.hpp"
 
@@ -152,6 +155,98 @@ TEST_P(QueryFuzzTest, CoveringIsTransitiveOnRandomTriples) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryFuzzTest, ::testing::Range<std::uint64_t>(0, 12));
+
+/// A random constraint of any kind the grammar has: exact, prefix (^=) or
+/// presence-only values, "*" path steps, anchored or descendant (//) paths.
+Constraint random_any_constraint(Rng& rng) {
+  Constraint c;
+  c.path = split(kFields[rng.next_index(std::size(kFields))], '/');
+  for (std::string& step : c.path) {
+    if (rng.next_bool(0.15)) step = "*";
+  }
+  if (rng.next_bool(0.15)) {
+    c.descendant = true;
+    if (c.path.size() > 1 && rng.next_bool(0.5)) c.path.erase(c.path.begin());
+  }
+  const std::string value = kValues[rng.next_index(std::size(kValues))];
+  const double kind = rng.next_double();
+  if (kind < 0.15) return c;  // presence-only
+  if (kind < 0.3) {
+    c.value = value.substr(0, 1 + rng.next_index(value.size()));
+    c.value_is_prefix = true;
+  } else {
+    c.value = value;
+  }
+  return c;
+}
+
+/// A random query over every constraint kind, with a "*" root now and then
+/// and some paths repeated with a second value.
+Query random_any_query(Rng& rng) {
+  Query q{rng.next_bool(0.1) ? "*" : "article"};
+  const int constraints = static_cast<int>(rng.next_in(0, 5));
+  for (int i = 0; i < constraints; ++i) {
+    Constraint c = random_any_constraint(rng);
+    q.add_constraint(c);
+    if (c.value && rng.next_bool(0.2)) {
+      c.value = kValues[rng.next_index(std::size(kValues))];
+      q.add_constraint(std::move(c));
+    }
+  }
+  return q;
+}
+
+/// A query that covers `q` in most draws: some constraints dropped, the rest
+/// weakened (exact to prefix or presence, a step to "*", anchored to //),
+/// and now and then the root widened to "*".
+Query random_generalization(const Query& q, Rng& rng) {
+  Query g{rng.next_bool(0.2) ? "*" : q.root()};
+  for (Constraint c : q.constraints()) {
+    if (rng.next_bool(0.3)) continue;
+    if (c.value && !c.value_is_prefix && rng.next_bool(0.2)) {
+      c.value = c.value->substr(0, 1);
+      c.value_is_prefix = true;
+    } else if (c.value && rng.next_bool(0.1)) {
+      c.value.reset();
+      c.value_is_prefix = false;
+    }
+    if (rng.next_bool(0.1)) c.path[rng.next_index(c.path.size())] = "*";
+    if (rng.next_bool(0.1)) c.descendant = true;
+    g.add_constraint(std::move(c));
+  }
+  return g;
+}
+
+class QuerySignatureFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(QuerySignatureFuzz, CoversImpliesSignatureSubset) {
+  // Query::signature filters covers(): whenever a covers b, a has no bit
+  // outside b's signature. Checked in both directions of 10k draws (20k
+  // ordered pairs); half the draws pair b with a generalization of itself so
+  // covering pairs are common.
+  Rng rng{GetParam() ^ 0x5169};
+  std::size_t covering_with_bits = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const Query b = random_any_query(rng);
+    const Query a = i % 2 == 0 ? random_any_query(rng) : random_generalization(b, rng);
+    for (const auto& [x, y] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+      const std::uint64_t outside = x->signature() & ~y->signature();
+      if (x->covers(*y)) {
+        EXPECT_EQ(outside, 0u) << x->canonical() << " covers " << y->canonical();
+        if (x->signature() != 0) ++covering_with_bits;
+      } else if (outside != 0) {
+        ++rejected;
+      }
+    }
+  }
+  // Not vacuous: covering pairs carry bits, and the filter rejects many of
+  // the pairs that do not cover.
+  EXPECT_GT(covering_with_bits, 1000u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QuerySignatureFuzz, ::testing::Range<std::uint64_t>(0, 4));
 
 }  // namespace
 }  // namespace dhtidx::query
