@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/id.hpp"
+#include "net/failure.hpp"
 
 namespace dhtidx::dht {
 
@@ -45,5 +46,33 @@ class Dht {
   /// Number of live nodes.
   virtual std::size_t size() const = 0;
 };
+
+// The one replica-placement rule (Section IV-D: fault tolerance comes from the
+// substrate's replication). DhtStore, IndexService and the sharded build all
+// place and find copies through these two functions; replication 1 is their
+// r = 1 case, the paper's single copy on the node responsible for the key.
+
+/// The nodes that may hold a copy of `key`: its replica set widened by the
+/// number of crashed nodes, so `replication` live copies stay reachable while
+/// crashes go undetected by the substrate. Reads walk this list in order and
+/// fail over along it. One substrate call.
+inline std::vector<Id> candidate_nodes(Dht& dht, const Id& key, std::size_t replication,
+                                       const net::FailureInjector* failures) {
+  const std::size_t crashed = failures == nullptr ? 0 : failures->crashed_count();
+  return dht.replica_set(key, replication + crashed);
+}
+
+/// The nodes a write of `key` goes to, primary first: the first `replication`
+/// candidates that are not crashed (PAST-style placement; the writer finds
+/// dead nodes by timeout and skips past them). One substrate call.
+inline std::vector<Id> write_nodes(Dht& dht, const Id& key, std::size_t replication,
+                                   const net::FailureInjector* failures) {
+  std::vector<Id> nodes = candidate_nodes(dht, key, replication, failures);
+  if (failures != nullptr) {
+    std::erase_if(nodes, [failures](const Id& node) { return failures->is_crashed(node); });
+  }
+  if (nodes.size() > replication) nodes.resize(replication);
+  return nodes;
+}
 
 }  // namespace dhtidx::dht

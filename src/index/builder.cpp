@@ -22,16 +22,22 @@ const std::vector<IndexBuilder::InternedMapping>& IndexBuilder::plan_for(
   return plans_.emplace(msd.canonical(), std::move(plan)).first->second;
 }
 
+storage::Record IndexBuilder::file_record(const xml::Element& descriptor,
+                                          const std::string& file_name,
+                                          std::uint64_t file_bytes) {
+  storage::Record record;
+  record.kind = "file:" + file_name;
+  record.payload = xml::write(descriptor, {.pretty = false});
+  record.virtual_payload_bytes = file_bytes;
+  return record;
+}
+
 void IndexBuilder::index_file(const xml::Element& descriptor, const std::string& file_name,
                               std::uint64_t file_bytes, BuildStats* stats,
                               std::uint64_t now) {
   const query::Query msd = query::Query::most_specific(descriptor);
 
-  storage::Record record;
-  record.kind = "file:" + file_name;
-  record.payload = xml::write(descriptor, {.pretty = false});
-  record.virtual_payload_bytes = file_bytes;
-  store_.put(msd.key(), std::move(record));
+  store_.put(msd.key(), file_record(descriptor, file_name, file_bytes));
 
   std::size_t inserted = 0;
   for (const auto& [source, target] : plan_for(msd)) {
@@ -55,11 +61,7 @@ std::size_t IndexBuilder::republish(const xml::Element& descriptor, std::uint64_
                                     std::uint64_t file_bytes) {
   const query::Query msd = query::Query::most_specific(descriptor);
   if (file_name != nullptr) {
-    storage::Record record;
-    record.kind = "file:" + *file_name;
-    record.payload = xml::write(descriptor, {.pretty = false});
-    record.virtual_payload_bytes = file_bytes;
-    store_.ensure(msd.key(), record);
+    store_.ensure(msd.key(), file_record(descriptor, *file_name, file_bytes));
   }
   std::size_t refreshed = 0;
   for (const auto& [source, target] : plan_for(msd)) {

@@ -36,6 +36,13 @@ class IndexBuilder {
 
   const IndexingScheme& scheme() const { return scheme_; }
 
+  /// The stored record of a file: kind "file:<name>", the compact descriptor
+  /// XML as payload, and the blob size as virtual bytes. Every build path
+  /// (index_file, republish, the sharded build) and Twine store this record.
+  static storage::Record file_record(const xml::Element& descriptor,
+                                     const std::string& file_name,
+                                     std::uint64_t file_bytes);
+
   /// Stores a file record under h(MSD) and inserts every scheme mapping.
   /// `file_name` and `file_bytes` describe the stored blob; the descriptor is
   /// kept as the record payload. `now` stamps the index entries for

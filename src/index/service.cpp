@@ -10,14 +10,8 @@
 
 namespace dhtidx::index {
 
-std::vector<Id> IndexService::candidate_replicas(const Id& key) const {
-  std::size_t want = replication_;
-  if (failures_ != nullptr) want += failures_->crashed_count();
-  return dht_.replica_set(key, want);
-}
-
 bool IndexService::try_deliver(const Id& target, std::uint64_t request_bytes,
-                               int& rpc_failures, const net::Message* wire) {
+                               int& rpc_failures, const net::Message& lost) {
   if (failures_ == nullptr) return true;
   const std::size_t attempts = std::max<std::size_t>(retry_.attempts_per_replica, 1);
   for (std::size_t attempt = 1; attempt <= attempts; ++attempt) {
@@ -30,7 +24,7 @@ bool IndexService::try_deliver(const Id& target, std::uint64_t request_bytes,
       // gets charged to `queries`, so the category split stays exclusive.
       ++rpc_failures;
       net::active(ledger_).retries.record(request_bytes);
-      if (bus_ != nullptr && wire != nullptr) bus_->record_lost(*wire);
+      if (bus_ != nullptr) bus_->record_lost(lost);
       const double backoff = retry_.backoff_before_retry(attempt);
       if (backoff > 0.0) {
         backoff_ms_ += backoff;
@@ -105,35 +99,23 @@ Id IndexService::insert_interned(const query::Query* s, const query::Query* t,
     throw InvariantError("index mapping rejected: '" + s->canonical() +
                          "' does not cover '" + t->canonical() + "'");
   }
-  if (failures_ == nullptr && replication_ == 1) {
-    // Seed-identical fast path: one substrate lookup, one copy.
-    const Id node = dht_.lookup(s->key()).node;
-    state_at(node).add_interned(s, t, now);
-    if (bus_ != nullptr) wire_publish(net::Action::kPublish, node, s, t);
-    return node;
-  }
-  // PAST-style placement: the first `replication_` live candidates. The
-  // publisher discovers dead replicas by timeout and skips past them; as a
-  // build-time operation this costs no ledger traffic.
-  Id placed_on;
-  std::size_t placed = 0;
-  for (const Id& replica : candidate_replicas(s->key())) {
-    if (placed >= replication_) break;
-    if (failures_ != nullptr && failures_->is_crashed(replica)) continue;
-    state_at(replica).add_interned(s, t, now);
-    if (bus_ != nullptr) {
-      // The primary gets the publish; further copies are replication pushes.
-      wire_publish(placed == 0 ? net::Action::kPublish : net::Action::kReplicate,
-                   replica, s, t);
-    }
-    if (placed == 0) placed_on = replica;
-    ++placed;
-  }
-  if (placed == 0) {
+  // PAST-style placement on the write nodes. As a build-time operation this
+  // costs no ledger traffic.
+  const std::vector<Id> targets = dht::write_nodes(dht_, s->key(), replication_, failures_);
+  if (targets.empty()) {
     throw InvariantError("index insert: no live replica for key of '" +
                          s->canonical() + "'");
   }
-  return placed_on;
+  for (const Id& replica : targets) {
+    state_at(replica).add_interned(s, t, now);
+    if (bus_ != nullptr) {
+      // The primary gets the publish; further copies are replication pushes.
+      wire_publish(replica == targets.front() ? net::Action::kPublish
+                                              : net::Action::kReplicate,
+                   replica, s, t);
+    }
+  }
+  return targets.front();
 }
 
 std::size_t IndexService::expire(std::uint64_t cutoff) {
@@ -157,21 +139,9 @@ bool IndexService::remove(const query::Query& source, const query::Query& target
 bool IndexService::remove_interned(const query::Query* source, const query::Query* target,
                                    bool& source_now_empty) {
   source_now_empty = false;
-  if (failures_ == nullptr && replication_ == 1) {
-    const Id node = dht_.lookup(source->key()).node;
-    IndexNodeState* state = find_state(node);
-    const bool removed =
-        state != nullptr && state->remove_interned(source, target, source_now_empty);
-    if (bus_ != nullptr) wire_remove(node, source, target, removed);
-    return removed;
-  }
   bool removed_any = false;
   bool any_left = false;
-  std::size_t visited = 0;
-  for (const Id& replica : candidate_replicas(source->key())) {
-    if (visited >= replication_) break;
-    if (failures_ != nullptr && failures_->is_crashed(replica)) continue;
-    ++visited;
+  for (const Id& replica : dht::write_nodes(dht_, source->key(), replication_, failures_)) {
     IndexNodeState* state = find_state(replica);
     bool removed_here = false;
     bool empty_here = false;
@@ -189,46 +159,34 @@ bool IndexService::remove_interned(const query::Query* source, const query::Quer
 IndexService::ContactResult IndexService::contact(const query::Query& q,
                                                   bool consider_cache,
                                                   net::Action action) {
-  const Id key = q.key();
-  const dht::LookupResult primary = dht_.lookup(key);
+  const std::vector<Id> candidates =
+      dht::candidate_nodes(dht_, q.key(), replication_, failures_);
   ContactResult result;
-  result.node = primary.node;
-  result.hops = primary.hops;
+  result.node = candidates.front();
   const std::uint64_t request_bytes = q.byte_size() + net::kMessageOverheadBytes;
 
-  if (failures_ == nullptr && replication_ == 1) {
-    // Seed-identical fast path: one substrate lookup, one query message, the
-    // responsible node answers whatever it has.
-    net::active(ledger_).queries.record(request_bytes);
-    if (bus_ != nullptr) wire_lookup(q, primary.node, action, consider_cache);
-    result.replicas_tried = 1;
-    result.state = find_state(primary.node);
-    return result;
-  }
-
-  // Walk the widened candidate list in placement order, discovering liveness
-  // one delivery at a time. Stop at the first replica that can actually serve
-  // q (index entries, or shortcuts when the caller consults the cache), or
-  // after `replication_` live replicas all turned out empty -- further
-  // candidates hold no copy by the placement rule.
+  // Walk the candidates in placement order, discovering liveness one delivery
+  // at a time. Stop at the first replica that can actually serve q (index
+  // entries, or shortcuts when the caller consults the cache), or after
+  // `replication_` live replicas all turned out empty -- further candidates
+  // hold no copy by the placement rule. The usefulness probe only decides
+  // failover, so with one copy it is skipped: the one live replica answers.
   IndexNodeState* first_state = nullptr;
-  Id first_node = primary.node;
-  bool have_first = false;
+  Id first_node = result.node;
   std::size_t contacted = 0;
-  for (const Id& replica : candidate_replicas(key)) {
+  for (const Id& replica : candidates) {
     if (contacted >= replication_) break;
-    net::Message wire;
-    if (bus_ != nullptr) wire = wire_request(action, replica, q);
-    if (!try_deliver(replica, request_bytes, result.rpc_failures,
-                     bus_ != nullptr ? &wire : nullptr)) {
-      continue;
-    }
+    // The request each failed attempt records as a lost frame; only an
+    // injector fails an attempt.
+    net::Message lost;
+    if (failures_ != nullptr && bus_ != nullptr) lost = wire_request(action, replica, q);
+    if (!try_deliver(replica, request_bytes, result.rpc_failures, lost)) continue;
     ++contacted;
     net::active(ledger_).queries.record(request_bytes);
     if (bus_ != nullptr) wire_lookup(q, replica, action, consider_cache);
     IndexNodeState* state = find_state(replica);
     const bool useful =
-        state != nullptr &&
+        replication_ > 1 && state != nullptr &&
         (state->has_source(q) || (consider_cache && !state->cache().find(q).empty()));
     if (useful) {
       result.state = state;
@@ -236,8 +194,7 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
       result.replicas_tried = static_cast<int>(contacted);
       return result;
     }
-    if (!have_first) {
-      have_first = true;
+    if (contacted == 1) {
       first_node = replica;
       first_state = state;
     }
@@ -256,7 +213,6 @@ IndexService::Reply IndexService::lookup(const query::Query& q, net::Action acti
   const ContactResult contacted = contact(q, /*consider_cache=*/false, action);
   Reply reply;
   reply.node = contacted.node;
-  reply.hops = contacted.hops;
   reply.rpc_failures = contacted.rpc_failures;
   reply.replicas_tried = contacted.replicas_tried;
   reply.unreachable = contacted.unreachable;

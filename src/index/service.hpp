@@ -47,8 +47,8 @@ class IndexService {
         replication_(replication == 0 ? 1 : replication),
         interner_(std::make_unique<query::QueryInterner>()) {}
 
-  /// Registers the mapping (source ; target) on the live replica set of
-  /// h(source). Throws InvariantError when source does not cover target.
+  /// Registers the mapping (source ; target) on h(source)'s dht::write_nodes.
+  /// Throws InvariantError when source does not cover target.
   /// Build-time operation: does not count into the per-query traffic ledger.
   /// `now` is the publisher's logical time: re-inserting refreshes the
   /// mapping's soft-state stamp. Returns the first node that stores the
@@ -85,7 +85,6 @@ class IndexService {
   struct ContactResult {
     IndexNodeState* state = nullptr;
     Id node;
-    int hops = 0;
     int rpc_failures = 0;     ///< delivery attempts that failed
     int replicas_tried = 0;   ///< replicas successfully contacted
     bool unreachable = false; ///< no replica answered within the budget
@@ -100,7 +99,6 @@ class IndexService {
   struct Reply {
     std::vector<const query::Query*> targets;
     Id node;
-    int hops = 0;
     int rpc_failures = 0;
     int replicas_tried = 0;
     bool unreachable = false;
@@ -206,18 +204,13 @@ class IndexService {
   Totals totals() const;
 
  private:
-  /// Replica candidates for `key`: the replica set widened by the number of
-  /// crashed nodes, so `replication_` live placements remain reachable while
-  /// crashes go undetected by the substrate.
-  std::vector<Id> candidate_replicas(const Id& key) const;
-
   /// Attempts delivery to `target` under the retry policy. Returns true when
   /// a delivery got through; each failed attempt counts into `rpc_failures`
-  /// and the retry ledger, and backoff is charged as virtual latency. When a
-  /// wire message is given, each failed attempt is also recorded as a lost
-  /// frame in the bus's measured ledger.
+  /// and the retry ledger, and backoff is charged as virtual latency. With a
+  /// bus attached, each failed attempt is also recorded as the lost frame
+  /// `lost` in the bus's measured ledger.
   bool try_deliver(const Id& target, std::uint64_t request_bytes, int& rpc_failures,
-                   const net::Message* wire = nullptr);
+                   const net::Message& lost);
 
   /// Runs the lookup RPC for `q` against `node` over the bus: request out,
   /// response built from the node's live index state (and shortcut bucket

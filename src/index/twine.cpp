@@ -3,8 +3,8 @@
 #include <map>
 #include <string>
 
+#include "index/builder.hpp"
 #include "xml/parser.hpp"
-#include "xml/writer.hpp"
 
 namespace dhtidx::index {
 
@@ -54,10 +54,8 @@ std::size_t TwineIndexer::publish(const xml::Element& descriptor,
                                   const std::string& file_name,
                                   std::uint64_t file_bytes) {
   const Query msd = Query::most_specific(descriptor);
-  storage::Record record;
-  record.kind = "file:" + file_name;
-  record.payload = xml::write(descriptor, {.pretty = false});
-  record.virtual_payload_bytes = file_bytes;
+  const storage::Record record =
+      IndexBuilder::file_record(descriptor, file_name, file_bytes);
 
   // One authoritative copy under the complete key...
   store_.put(msd.key(), record);

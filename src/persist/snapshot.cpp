@@ -82,7 +82,7 @@ LoadStats load_snapshot(std::string_view snapshot_xml, index::IndexService& serv
           throw ParseError("malformed virtual-bytes: " + *virtual_bytes);
         }
       }
-      store.put(Id::from_hex(*key), std::move(record));
+      store.put(Id::from_hex(*key), record);
       ++stats.records;
     }
   }

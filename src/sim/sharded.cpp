@@ -12,10 +12,10 @@
 
 #include "common/error.hpp"
 #include "common/thread_annotations.hpp"
+#include "index/builder.hpp"
 #include "index/lookup.hpp"
 #include "index/scheme.hpp"
 #include "workload/streaming.hpp"
-#include "xml/writer.hpp"
 
 namespace dhtidx::sim {
 
@@ -381,7 +381,6 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
   const std::size_t shards = std::max<std::size_t>(config.shards, 1);
   const index::IndexingScheme scheme = index::IndexingScheme::make(config.scheme);
   query::QueryInterner& interner = service.interner();
-  const std::size_t replication = service.replication();
 
   // Pre-create every node's index partition and record store. The outer
   // FlatMaps are structurally frozen before any worker runs: parallel phases
@@ -417,30 +416,24 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
         const Query msd = Query::most_specific(descriptor);
         std::uint32_t seq = 0;
 
-        // The stored file record, one op per replica placement (mirrors
-        // DhtStore::put under a healthy network: the replica set of the
-        // MSD's key, primary first).
-        storage::Record record;
-        record.kind = "file:" + article.file_name();
-        record.payload = xml::write(descriptor, {.pretty = false});
-        record.virtual_payload_bytes = article.file_bytes;
+        // The stored file record, one op per write node of the MSD's key.
         const Id file_key = msd.key();
         const std::uint32_t record_slot = static_cast<std::uint32_t>(producer.records.size());
-        producer.records.push_back(std::move(record));
-        const std::vector<Id> file_replicas = dht.replica_set(file_key, replication);
-        for (std::size_t c = 0; c < file_replicas.size(); ++c) {
+        producer.records.push_back(index::IndexBuilder::file_record(
+            descriptor, article.file_name(), article.file_bytes));
+        for (const Id& node :
+             dht::write_nodes(dht, file_key, store.replication(), store.failures())) {
           Op op;
           op.vt = i;
           op.seq = seq++;
           op.is_store = true;
-          op.node = file_replicas[c];
+          op.node = node;
           op.key = file_key;
           op.record = record_slot;
           producer.queues[shard_map.shard_of(op.node)].push_back(op);
         }
 
-        // The scheme's mappings, one op per replica placement of the source
-        // key (mirrors IndexService::insert_interned).
+        // The scheme's mappings, one op per write node of the source key.
         std::vector<index::Mapping> mappings = scheme.mappings_for(msd);
         for (index::Mapping& m : mappings) {
           const Id source_key = m.source.key();
@@ -450,7 +443,8 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                                    op.source_pending);
           producer.interns.resolve(interner, std::move(m.target), op.target,
                                    op.target_pending);
-          for (const Id& replica : dht.replica_set(source_key, replication)) {
+          for (const Id& replica : dht::write_nodes(dht, source_key, service.replication(),
+                                                    service.failures())) {
             Op placed = op;
             placed.seq = seq++;
             placed.node = replica;

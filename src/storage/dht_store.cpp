@@ -10,12 +10,6 @@ namespace {
 const std::vector<Record> kNoRecords;
 }
 
-std::vector<Id> DhtStore::candidate_replicas(const Id& key) {
-  std::size_t want = replication_;
-  if (failures_ != nullptr) want += failures_->crashed_count();
-  return dht_.replica_set(key, want);
-}
-
 bool DhtStore::try_deliver(const Id& target, std::uint64_t request_bytes,
                            int& rpc_failures, const net::Message* wire) {
   if (failures_ == nullptr) return true;
@@ -53,35 +47,20 @@ const std::vector<Record>& DhtStore::records_at(const Id& node, const Id& key) c
   return it == stores_.end() ? kNoRecords : it->second.get(key);
 }
 
-StoreResult DhtStore::put(const Id& key, Record record) {
+StoreResult DhtStore::put(const Id& key, const Record& record) {
   topology_.assert_exclusive();  // placement may create a node's store
-  const dht::LookupResult where = dht_.lookup(key);
   const std::uint64_t request_bytes =
       Id::kBytes + record.kind.size() + record.payload.size() + net::kMessageOverheadBytes;
-  if (replication_ == 1 && failures_ == nullptr) {
-    net::active(ledger_).queries.record(request_bytes);
-    if (bus_ != nullptr) {
-      bus_->post(wire_message(net::Action::kStore, where.node, key, &record),
-                 [](const net::Message&) {});
-    }
-    stores_[where.node].put(key, std::move(record));
-    return StoreResult{where.node, where.hops};
-  }
-  // PAST-style placement on the first `replication_` live candidates; the
-  // publisher discovers dead nodes by timeout and skips past them.
-  std::size_t placed = 0;
-  for (const Id& replica : candidate_replicas(key)) {
-    if (placed >= replication_) break;
-    if (failures_ != nullptr && failures_->is_crashed(replica)) continue;
+  const std::vector<Id> targets = dht::write_nodes(dht_, key, replication_, failures_);
+  for (const Id& replica : targets) {
     net::active(ledger_).queries.record(request_bytes);
     if (bus_ != nullptr) {
       bus_->post(wire_message(net::Action::kStore, replica, key, &record),
                  [](const net::Message&) {});
     }
     stores_[replica].put(key, record);
-    ++placed;
   }
-  return StoreResult{where.node, where.hops};
+  return StoreResult{targets.empty() ? Id{} : targets.front()};
 }
 
 DhtStore::GetResult DhtStore::get(const Id& key) {
@@ -93,7 +72,7 @@ DhtStore::GetResult DhtStore::get(const Id& key) {
   const std::uint64_t request_bytes = Id::kBytes + net::kMessageOverheadBytes;
   const std::vector<Record>* found = nullptr;
   std::size_t contacted = 0;
-  for (const Id& replica : candidate_replicas(key)) {
+  for (const Id& replica : dht::candidate_nodes(dht_, key, replication_, failures_)) {
     if (contacted >= replication_) break;
     net::Message wire;
     if (bus_ != nullptr) wire = wire_message(net::Action::kFetch, replica, key, nullptr);
@@ -140,32 +119,9 @@ DhtStore::GetResult DhtStore::get(const Id& key) {
 }
 
 DhtStore::RemoveResult DhtStore::remove(const Id& key, const Record& record) {
-  const dht::LookupResult where = dht_.lookup(key);
-  RemoveResult result{where.node, false, where.hops};
-  const auto wire_remove = [&](const Id& node, bool removed) {
-    if (bus_ == nullptr) return;
-    bus_->exchange(wire_message(net::Action::kRemove, node, key, &record),
-                   [&](const net::Message& m) {
-                     net::Message response = net::Message::response_to(m);
-                     response.status =
-                         removed ? net::Status::kOk : net::Status::kNotFound;
-                     return response;
-                   });
-  };
-  if (replication_ == 1 && failures_ == nullptr) {
-    net::active(ledger_).queries.record(Id::kBytes + record.kind.size() +
-                                        record.payload.size() + net::kMessageOverheadBytes);
-    if (NodeStore* store = find_node_store(where.node); store != nullptr) {
-      result.removed = store->remove(key, record);
-    }
-    wire_remove(where.node, result.removed);
-    return result;
-  }
-  std::size_t visited = 0;
-  for (const Id& replica : candidate_replicas(key)) {
-    if (visited >= replication_) break;
-    if (failures_ != nullptr && failures_->is_crashed(replica)) continue;
-    ++visited;
+  const std::vector<Id> targets = dht::write_nodes(dht_, key, replication_, failures_);
+  RemoveResult result{targets.empty() ? Id{} : targets.front()};
+  for (const Id& replica : targets) {
     net::active(ledger_).queries.record(Id::kBytes + record.kind.size() +
                                         record.payload.size() + net::kMessageOverheadBytes);
     bool removed_here = false;
@@ -173,7 +129,15 @@ DhtStore::RemoveResult DhtStore::remove(const Id& key, const Record& record) {
       removed_here = store->remove(key, record);
       result.removed = removed_here || result.removed;
     }
-    wire_remove(replica, removed_here);
+    if (bus_ != nullptr) {
+      bus_->exchange(wire_message(net::Action::kRemove, replica, key, &record),
+                     [&](const net::Message& m) {
+                       net::Message response = net::Message::response_to(m);
+                       response.status =
+                           removed_here ? net::Status::kOk : net::Status::kNotFound;
+                       return response;
+                     });
+    }
   }
   return result;
 }
@@ -181,11 +145,7 @@ DhtStore::RemoveResult DhtStore::remove(const Id& key, const Record& record) {
 std::size_t DhtStore::ensure(const Id& key, const Record& record) {
   topology_.assert_exclusive();  // republish may re-create a node's store
   std::size_t created = 0;
-  std::size_t placed = 0;
-  for (const Id& replica : candidate_replicas(key)) {
-    if (placed >= replication_) break;
-    if (failures_ != nullptr && failures_->is_crashed(replica)) continue;
-    ++placed;
+  for (const Id& replica : dht::write_nodes(dht_, key, replication_, failures_)) {
     const std::vector<Record>& existing = records_at(replica, key);
     if (std::find(existing.begin(), existing.end(), record) != existing.end()) continue;
     if (bus_ != nullptr) {
@@ -199,14 +159,9 @@ std::size_t DhtStore::ensure(const Id& key, const Record& record) {
 }
 
 bool DhtStore::has_record(const Id& key) {
-  std::size_t checked = 0;
-  for (const Id& replica : candidate_replicas(key)) {
-    if (checked >= replication_) break;
-    if (failures_ != nullptr && failures_->is_crashed(replica)) continue;
-    ++checked;
-    if (!records_at(replica, key).empty()) return true;
-  }
-  return false;
+  const std::vector<Id> replicas = dht::write_nodes(dht_, key, replication_, failures_);
+  return std::any_of(replicas.begin(), replicas.end(),
+                     [&](const Id& replica) { return !records_at(replica, key).empty(); });
 }
 
 NodeStore* DhtStore::find_node_store(const Id& node) {
@@ -242,7 +197,7 @@ std::size_t DhtStore::rebalance() {
   for (const auto& [from, key] : moves) {
     // First live replica; with a clean membership this is the primary.
     Id to = dht_.lookup(key).node;
-    for (const Id& replica : candidate_replicas(key)) {
+    for (const Id& replica : dht::candidate_nodes(dht_, key, replication_, failures_)) {
       if (!is_dead(replica)) {
         to = replica;
         break;

@@ -20,10 +20,9 @@
 
 namespace dhtidx::storage {
 
-/// Outcome of a storage operation, for hop/traffic-aware callers.
+/// Outcome of a storage operation.
 struct StoreResult {
-  Id node;       ///< peer that served the operation
-  int hops = 0;  ///< substrate routing hops
+  Id node;  ///< first peer that stored the record (the live primary)
 };
 
 /// Key/value storage distributed over a Dht.
@@ -39,10 +38,10 @@ class DhtStore {
 
   std::size_t replication() const { return replication_; }
 
-  /// Stores `record` at the responsible node (and its replicas). Under a
-  /// failure injector the copies land on the first `replication` live
-  /// candidates (PAST-style placement).
-  StoreResult put(const Id& key, Record record);
+  /// Stores a copy of `record` on each of the key's write nodes
+  /// (dht::write_nodes): the responsible node and its replicas, skipping
+  /// crashed candidates.
+  StoreResult put(const Id& key, const Record& record);
 
   /// Fetches all records under `key`. The responsible node is asked first;
   /// when it has nothing (e.g. it lost its store in a crash), the remaining
@@ -60,11 +59,10 @@ class DhtStore {
   GetResult get(const Id& key);
 
   /// Removes one matching record from every live replica. Returns the
-  /// serving node and whether a record was removed.
+  /// first replica visited and whether a record was removed.
   struct RemoveResult {
     Id node;
     bool removed = false;
-    int hops = 0;
   };
   RemoveResult remove(const Id& key, const Record& record);
 
@@ -133,11 +131,6 @@ class DhtStore {
   std::size_t total_records() const;
 
  private:
-  /// Replica candidates for `key`: the replica set widened by the number of
-  /// crashed nodes, so `replication_` live placements remain reachable while
-  /// crashes go undetected by the substrate.
-  std::vector<Id> candidate_replicas(const Id& key);
-
   /// Attempts delivery to `target` under the retry policy (see
   /// IndexService::try_deliver for the accounting contract). A wire message,
   /// when given, has each failed attempt recorded as a lost frame.

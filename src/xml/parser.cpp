@@ -203,9 +203,9 @@ std::string decode_entities(std::string_view text) {
       out.push_back('"');
     } else if (!entity.empty() && entity[0] == '#') {
       unsigned long code = 0;
+      const bool hex = entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X');
       try {
-        code = entity[1] == 'x' || entity[1] == 'X'
-                   ? std::stoul(std::string{entity.substr(2)}, nullptr, 16)
+        code = hex ? std::stoul(std::string{entity.substr(2)}, nullptr, 16)
                    : std::stoul(std::string{entity.substr(1)}, nullptr, 10);
       } catch (const std::exception&) {
         throw ParseError("malformed character reference &" + std::string{entity} + ";");

@@ -2,10 +2,14 @@
 // rescan posting lists: every entry's response-byte sum and every target's
 // covering signature. Both must stay exact on each path that changes an
 // index: add and republish, remove, soft-state expiry, churn repair and the
-// sharded streaming build.
+// sharded streaming build. The last test pins that the two build drivers
+// place the same world.
 #include "index/node_state.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "biblio/corpus.hpp"
 #include "biblio/stream.hpp"
@@ -134,6 +138,75 @@ TEST(EntryState, ExactAfterShardedStreamingBuild) {
     const biblio::ArticleStream stream{config.corpus};
     sim::build_streaming_world(config, ring, service, store, stream);
     EXPECT_GT(expect_exact(service), 0u) << "shards " << shards;
+  }
+}
+
+/// Everything `node` holds, one line per index entry (source, byte sum, then
+/// each target with its stamp and signature, in list order) and one per
+/// stored record (key, kind, virtual bytes, payload), in the node's own order.
+/// A node with no partition or store holds nothing.
+std::vector<std::string> node_contents(const IndexService& service,
+                                       const storage::DhtStore& store, const Id& node) {
+  std::vector<std::string> lines;
+  if (const IndexNodeState* state = service.find_state(node); state != nullptr) {
+    for (const auto& [source, targets, bytes] : state->entries()) {
+      std::string line = source->canonical() + " bytes=" + std::to_string(bytes);
+      for (const IndexNodeState::TargetRef& ref : targets) {
+        line += " | " + ref.target->canonical() + " @" + std::to_string(ref.stamp) +
+                " sig=" + std::to_string(ref.signature);
+      }
+      lines.push_back(std::move(line));
+    }
+  }
+  if (const storage::NodeStore* records = store.find_node_store(node); records != nullptr) {
+    for (const Id& key : records->keys()) {
+      for (const storage::Record& r : records->get(key)) {
+        lines.push_back(key.to_hex() + " " + r.kind + " " +
+                        std::to_string(r.virtual_payload_bytes) + " " + r.payload);
+      }
+    }
+  }
+  return lines;
+}
+
+TEST(BuildDrivers, IndexFileAndShardedBuildPlaceTheSameWorld) {
+  // The materialized driver (IndexBuilder::index_file, one placement at a
+  // time) and the epoch pipeline (build_streaming_world, placements merged
+  // across shards) must leave every node with the same entries and records.
+  for (const std::size_t replication : {1u, 3u}) {
+    sim::SimulationConfig config;
+    config.nodes = 64;
+    config.corpus.articles = 2000;
+    config.scheme = SchemeKind::kComplex;
+    config.replication = replication;
+    const biblio::ArticleStream stream{config.corpus};
+
+    net::TrafficLedger ledger;
+    dht::Ring ring = dht::Ring::with_nodes(config.nodes);
+    storage::DhtStore store{ring, ledger, replication};
+    IndexService service{ring, ledger, config.cache_capacity, replication};
+    IndexBuilder builder{service, store, IndexingScheme::make(config.scheme)};
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const biblio::Article article = stream.article(i);
+      builder.index_file(article.descriptor(), article.file_name(), article.file_bytes);
+    }
+    ASSERT_GT(service.totals().mappings, stream.size());
+    ASSERT_EQ(store.total_records(), stream.size() * replication);
+
+    for (const std::size_t shards : {1u, 2u}) {
+      config.streaming = true;
+      config.shards = shards;
+      net::TrafficLedger sharded_ledger;
+      storage::DhtStore sharded_store{ring, sharded_ledger, replication};
+      IndexService sharded{ring, sharded_ledger, config.cache_capacity, replication};
+      sim::build_streaming_world(config, ring, sharded, sharded_store, stream);
+      for (const Id& node : ring.node_ids()) {
+        EXPECT_EQ(node_contents(service, store, node),
+                  node_contents(sharded, sharded_store, node))
+            << "replication " << replication << ", shards " << shards << ", node "
+            << node.brief();
+      }
+    }
   }
 }
 

@@ -1,13 +1,19 @@
 // Snapshot persistence: save/load round-trips, cross-membership restore,
-// covering enforcement against tampered snapshots.
+// covering enforcement against tampered snapshots, and a mutation suite of
+// hostile snapshots.
 #include "persist/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <string_view>
+#include <vector>
 
+#include "audit/audit.hpp"
 #include "biblio/corpus.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "dht/ring.hpp"
 #include "index/builder.hpp"
 #include "index/lookup.hpp"
@@ -18,11 +24,14 @@ namespace {
 using query::Query;
 
 struct World {
-  explicit World(std::size_t nodes) : ring(dht::Ring::with_nodes(nodes)) {}
+  explicit World(std::size_t nodes, std::size_t replication = 1)
+      : ring(dht::Ring::with_nodes(nodes)),
+        store{ring, ledger, replication},
+        service{ring, ledger, /*cache_capacity=*/0, replication} {}
   net::TrafficLedger ledger;
   dht::Ring ring;
-  storage::DhtStore store{ring, ledger};
-  index::IndexService service{ring, ledger};
+  storage::DhtStore store;
+  index::IndexService service;
 };
 
 biblio::Corpus small_corpus() {
@@ -148,6 +157,119 @@ TEST(Snapshot, FileRoundTrip) {
   std::remove(path.c_str());
   EXPECT_THROW(load_snapshot_file("/nonexistent/nope.xml", restored.service, restored.store),
                Error);
+}
+
+/// Hostile variants of `snapshot`, from a fixed seed: every truncation of its
+/// first 4 KB, 3,000 one-byte flips, insertions and deletions, and the
+/// attribute edits a tamperer would try.
+std::vector<std::string> snapshot_mutants(const std::string& snapshot) {
+  std::vector<std::string> mutants;
+  for (std::size_t n = 0; n < std::min<std::size_t>(snapshot.size(), 4096); ++n) {
+    mutants.push_back(snapshot.substr(0, n));
+  }
+  // Half the inserted bytes are ones the XML, query and hex parsers give a
+  // meaning to; the rest are arbitrary.
+  constexpr std::string_view kSignificant = "<>/=\"'&#;x[]*^.0a ";
+  Rng rng{0x5eed};
+  for (int i = 0; i < 3000; ++i) {
+    std::string mutant = snapshot;
+    const std::size_t pos = rng.next_index(mutant.size());
+    switch (i % 3) {
+      case 0:
+        mutant[pos] = static_cast<char>(mutant[pos] ^ (1 << rng.next_below(8)));
+        break;
+      case 1:
+        mutant.insert(pos, 1,
+                      rng.next_bool(0.5) ? kSignificant[rng.next_index(kSignificant.size())]
+                                         : static_cast<char>(rng.next_below(256)));
+        break;
+      default:
+        mutant.erase(pos, 1);
+        break;
+    }
+    mutants.push_back(std::move(mutant));
+  }
+
+  // Attribute edits, each applied to the first occurrence.
+  const auto attribute = [&](std::string_view name) {
+    const std::size_t start = snapshot.find(std::string{name} + "=\"") + name.size() + 2;
+    return std::pair{start, snapshot.find('"', start) - start};
+  };
+  const auto with_value = [&](std::string_view name, std::string_view value) {
+    const auto [start, length] = attribute(name);
+    std::string mutant = snapshot;
+    mutant.replace(start, length, value);
+    return mutant;
+  };
+  const auto [source_at, source_length] = attribute("source");
+  const auto [target_at, target_length] = attribute("target");
+  const std::string source = snapshot.substr(source_at, source_length);
+  const std::string target = snapshot.substr(target_at, target_length);
+  std::string swapped = snapshot;
+  swapped.replace(target_at, target_length, source);
+  swapped.replace(source_at, source_length, target);
+  mutants.push_back(std::move(swapped));
+  for (const std::string_view value :
+       {"", "/", "*", "/article[", "/article]", "/article[year/&#;]", "/article[x^=&#x;]"}) {
+    mutants.push_back(with_value("source", value));
+    mutants.push_back(with_value("target", value));
+  }
+  for (const std::string_view value : {"", "0", "zz00000000000000000000000000000000000000",
+                                        "00000000000000000000000000000000000000000", "&#0;",
+                                        "&;"}) {
+    mutants.push_back(with_value("key", value));
+  }
+  for (const std::string_view value : {"", "abc", "-1", "1e9", "99999999999999999999999"}) {
+    mutants.push_back(with_value("virtual-bytes", value));
+  }
+  mutants.push_back(with_value("kind", "&#x110000;"));
+  return mutants;
+}
+
+TEST(SnapshotMutation, EveryMutantLoadsCleanOrThrowsTypedError) {
+  // load_snapshot places through IndexService::insert and DhtStore::put, so a
+  // hostile snapshot drives the one placement path and xml::parse. Each
+  // mutant either loads, and then every mapping covers its target and sits
+  // on its key's replica set, or throws a dhtidx::Error subtype.
+  biblio::CorpusConfig config;
+  config.articles = 8;
+  config.authors = 6;
+  config.conferences = 3;
+  World original{16, /*replication=*/2};
+  build(original, biblio::Corpus::generate(config));
+  const std::string snapshot = save_snapshot(original.service, original.store);
+  ASSERT_GT(snapshot.size(), 4096u);
+
+  audit::Options options;
+  options.check_reachability = false;
+  options.check_acyclicity = false;
+  options.check_cache_coherence = false;
+  options.check_snapshot = false;
+  options.check_replica_consistency = false;
+  options.check_ledger = false;
+  options.check_convergence = false;
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  const std::vector<std::string> mutants = snapshot_mutants(snapshot);
+  for (std::size_t i = 0; i < mutants.size(); ++i) {
+    World restored{16, /*replication=*/2};
+    try {
+      load_snapshot(mutants[i], restored.service, restored.store);
+    } catch (const Error&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " escaped as a non-dhtidx exception: " << e.what();
+      continue;
+    }
+    ++loaded;
+    const audit::Report report =
+        audit::Auditor{restored.ring, restored.service, restored.store, options}.run();
+    EXPECT_EQ(report.section(audit::Invariant::kCovering).violations, 0u) << "mutant " << i;
+    EXPECT_EQ(report.section(audit::Invariant::kPlacement).violations, 0u) << "mutant " << i;
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 4000u);
 }
 
 }  // namespace

@@ -1,8 +1,15 @@
-// Storage replication over the DHT's replica sets (Section IV-D).
+// Storage replication over the DHT's replica sets (Section IV-D), and the one
+// placement rule (dht::candidate_nodes / dht::write_nodes) the store and the
+// index share.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "dht/chord.hpp"
 #include "dht/ring.hpp"
+#include "index/service.hpp"
+#include "net/bus.hpp"
+#include "net/transport.hpp"
 #include "storage/dht_store.hpp"
 
 namespace dhtidx::storage {
@@ -189,6 +196,147 @@ TEST(ReplicatedStoreDefault, FactorOneBehavesAsBefore) {
   const Id key = Id::hash("k");
   store.put(key, make_record("v"));
   EXPECT_EQ(store.total_records(), 1u);
+}
+
+/// A Ring behind a Dht that counts every substrate call.
+class CountingDht : public dht::Dht {
+ public:
+  explicit CountingDht(dht::Ring& ring) : ring_(ring) {}
+  dht::LookupResult lookup(const Id& key) override {
+    ++calls;
+    return ring_.lookup(key);
+  }
+  std::vector<Id> replica_set(const Id& key, std::size_t count) override {
+    ++calls;
+    return ring_.replica_set(key, count);
+  }
+  std::vector<Id> node_ids() const override { return ring_.node_ids(); }
+  std::size_t size() const override { return ring_.size(); }
+
+  std::size_t calls = 0;
+
+ private:
+  dht::Ring& ring_;
+};
+
+/// Records every node a delivery is attempted to.
+class RecordingInjector : public net::FailureInjector {
+ public:
+  void check_delivery(const Id& target) override {
+    attempted.push_back(target);
+    FailureInjector::check_delivery(target);
+  }
+  std::vector<Id> attempted;
+};
+
+/// Records the destination of every request frame sent.
+class RecordingTransport : public net::InProcessTransport {
+ public:
+  std::uint64_t send(const net::Message& message) override {
+    if (message.context == net::Context::kRequest) requested.push_back(message.to);
+    return InProcessTransport::send(message);
+  }
+  std::vector<Id> requested;
+};
+
+/// The nodes whose store holds a record under `key`, each checked to hold
+/// exactly one copy.
+std::vector<Id> record_holders(const DhtStore& store, const Id& key) {
+  std::vector<Id> holders;
+  for (const auto& [node, node_store] : store.node_stores()) {
+    const std::size_t copies = node_store.get(key).size();
+    EXPECT_LE(copies, 1u) << node.brief();
+    if (copies > 0) holders.push_back(node);
+  }
+  return holders;
+}
+
+std::vector<Id> sorted(std::vector<Id> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(PlacementRule, OneSubstrateCallPerOperationAndWritesOnFirstLiveSuccessors) {
+  using query::Query;
+  const Query source = Query::parse("/article/conf/ICDCS");
+  const Query target = Query::parse("/article[conf/ICDCS][year/2004]");
+  const Id key = source.key();
+  for (const std::size_t replication : {1u, 2u, 3u}) {
+    for (const bool crash_primary : {false, true}) {
+      SCOPED_TRACE("replication " + std::to_string(replication) +
+                   (crash_primary ? ", crashed primary" : ", no injector"));
+      dht::Ring ring = dht::Ring::with_nodes(12);
+      CountingDht counted{ring};
+      net::TrafficLedger ledger;
+      RecordingTransport transport;
+      net::MessageBus bus{transport};
+      RecordingInjector failures;
+      DhtStore store{counted, ledger, replication};
+      index::IndexService service{counted, ledger, /*cache_capacity=*/0, replication};
+      store.set_bus(&bus);
+      service.set_bus(&bus);
+      const std::vector<Id> successors = ring.replica_set(key, ring.size());
+      std::size_t crashed = 0;
+      if (crash_primary) {
+        failures.crash(successors.front());
+        crashed = 1;
+        store.set_failures(&failures);
+        service.set_failures(&failures);
+      }
+      // The first `replication` live successors, and every node that may
+      // hold a copy.
+      const std::vector<Id> writes(successors.begin() + static_cast<std::ptrdiff_t>(crashed),
+                                   successors.begin() +
+                                       static_cast<std::ptrdiff_t>(crashed + replication));
+      const std::vector<Id> candidates = ring.replica_set(key, replication + crashed);
+      const auto one_call = [&](const char* operation, const auto& run) {
+        counted.calls = 0;
+        run();
+        EXPECT_EQ(counted.calls, 1u) << operation;
+      };
+
+      const Record record = make_record("v");
+      one_call("put", [&] { EXPECT_EQ(store.put(key, record).node, writes.front()); });
+      EXPECT_EQ(record_holders(store, key), sorted(writes));
+      one_call("has_record", [&] { EXPECT_TRUE(store.has_record(key)); });
+      store.drop_node(writes.back());
+      one_call("ensure", [&] { EXPECT_EQ(store.ensure(key, record), 1u); });
+      EXPECT_EQ(record_holders(store, key), sorted(writes));
+      one_call("remove", [&] { EXPECT_TRUE(store.remove(key, record).removed); });
+      EXPECT_EQ(store.total_records(), 0u);
+
+      one_call("insert", [&] { EXPECT_EQ(service.insert(source, target), writes.front()); });
+      std::vector<Id> holders;
+      for (const auto& [node, state] : service.states()) {
+        if (state.has_source(source)) holders.push_back(node);
+      }
+      EXPECT_EQ(holders, sorted(writes));
+
+      transport.requested.clear();
+      failures.attempted.clear();
+      one_call("contact", [&] {
+        const auto contacted = service.contact(source, /*consider_cache=*/false);
+        EXPECT_EQ(contacted.node, writes.front());
+        ASSERT_NE(contacted.state, nullptr);
+        EXPECT_TRUE(contacted.state->has_source(source));
+      });
+      ASSERT_FALSE(transport.requested.empty());
+      for (const std::vector<Id>* reached : {&transport.requested, &failures.attempted}) {
+        for (const Id& node : *reached) {
+          EXPECT_NE(std::find(candidates.begin(), candidates.end(), node), candidates.end())
+              << node.brief();
+        }
+      }
+
+      const query::Query* s = service.interner().find_existing(source);
+      const query::Query* t = service.interner().find_existing(target);
+      bool source_now_empty = false;
+      one_call("remove_interned",
+               [&] { EXPECT_TRUE(service.remove_interned(s, t, source_now_empty)); });
+      EXPECT_TRUE(source_now_empty);
+      EXPECT_EQ(service.totals().mappings, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -63,6 +63,14 @@ TEST(XmlParser, NumericReferenceUtf8) {
   EXPECT_EQ(doc.text(), "\xC3\xA9");
 }
 
+TEST(XmlParser, EmptyCharacterReferenceIsAParseError) {
+  // "&#;" and "&#x;" name no code point; the decoder must reject them
+  // without reading past the reference (a snapshot mutation).
+  EXPECT_THROW(parse("<a>&#;</a>"), ParseError);
+  EXPECT_THROW(parse("<a b=\"&#;\"/>"), ParseError);
+  EXPECT_THROW(parse("<a>&#x;</a>"), ParseError);
+}
+
 TEST(XmlParser, CData) {
   const Element doc = parse("<a><![CDATA[1 < 2 && 3 > 2]]></a>");
   EXPECT_EQ(doc.text(), "1 < 2 && 3 > 2");
