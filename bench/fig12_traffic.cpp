@@ -2,18 +2,18 @@
 // normal (query + response) and cache (shortcut) traffic, for each scheme and
 // shortcut/cache policy.
 //
-// Since the message-passing substrate landed, every RPC also crosses the wire
-// as a serialized codec frame, so each cell reports two series side by side:
-// the paper's analytic accounting (fixed 40-byte envelope + payload estimate)
-// and the measured serialized byte counts from the message bus. A second JSON
-// line carries the measured series so plots can overlay both.
+// The grid runs on the event-queue transport, where every RPC also crosses
+// the wire as a serialized codec frame, so each cell reports two series side
+// by side: the paper's analytic accounting (fixed 40-byte envelope + payload
+// estimate) and the measured serialized byte counts from the message bus. A
+// second JSON line carries the measured series so plots can overlay both.
 //
-//   fig12_traffic [--jobs N] [--transport in-process|event] [--smoke]
+//   fig12_traffic [--jobs N] [--smoke]
 //
-// --smoke runs a reduced world under both transports and exits nonzero unless
-// both series are produced and the in-process run is bit-identical to the
-// event-queue run (there is no message loss, so the deterministic event queue
-// must deliver the exact same schedule).
+// --smoke runs a reduced world in-process (no wire layer) and on the event
+// queue, and exits nonzero unless both series are produced and every
+// analytic field of the two runs is bit-identical (there is no message loss,
+// so the wire layer must not change what the simulation does).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,7 +29,6 @@ namespace {
 
 struct Args {
   std::size_t jobs = 0;
-  sim::TransportKind transport = sim::TransportKind::kInProcess;
   bool smoke = false;
 };
 
@@ -39,12 +38,11 @@ Args parse(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--jobs N] [--transport in-process|event] [--smoke]\n"
+          "usage: %s [--jobs N] [--smoke]\n"
           "  --jobs N, -j N   worker threads for the sweep (default: hardware)\n"
-          "  --transport T    message transport: in-process (default, zero-copy)\n"
-          "                   or event (deterministic discrete-event queue)\n"
-          "  --smoke          reduced world, both transports, assert the two\n"
-          "                   runs are bit-identical; nonzero exit on mismatch\n",
+          "  --smoke          reduced world, in-process and event-queue runs,\n"
+          "                   assert their analytic fields are bit-identical;\n"
+          "                   nonzero exit on mismatch\n",
           argv[0]);
       std::exit(0);
     }
@@ -64,19 +62,6 @@ Args parse(int argc, char** argv) {
         std::exit(2);
       }
       args.jobs = static_cast<std::size_t>(jobs);
-      continue;
-    }
-    if (arg == "--transport") {
-      const std::string name = value();
-      if (name == "in-process") {
-        args.transport = sim::TransportKind::kInProcess;
-      } else if (name == "event" || name == "event-queue") {
-        args.transport = sim::TransportKind::kEventQueue;
-      } else {
-        std::fprintf(stderr, "%s: unknown transport '%s' (in-process|event)\n", argv[0],
-                     name.c_str());
-        std::exit(2);
-      }
       continue;
     }
     if (arg == "--smoke") {
@@ -167,10 +152,10 @@ void print_table(const std::vector<sim::CellResult>& results) {
   }
 }
 
-/// Bit-identity check between two runs of the same cell under different
-/// transports. At drop probability 0 the event queue delivers frames in send
-/// order with no loss, so every metric — analytic and measured — must match
-/// exactly; any drift means the transport influenced the simulation.
+/// Bit-identity check between the in-process and the event-queue run of one
+/// cell. At drop probability 0 the event queue delivers frames in send order
+/// with no loss, so every analytic metric must match exactly; any drift means
+/// the wire layer influenced the simulation.
 bool identical(const sim::SimulationResults& a, const sim::SimulationResults& b,
                std::size_t cell) {
   bool ok = true;
@@ -191,12 +176,10 @@ bool identical(const sim::SimulationResults& a, const sim::SimulationResults& b,
         static_cast<double>(b.non_indexed_queries));
   check("failed_lookups", static_cast<double>(a.failed_lookups),
         static_cast<double>(b.failed_lookups));
-  check("wire_messages", static_cast<double>(a.wire_messages),
-        static_cast<double>(b.wire_messages));
-  const auto lhs_categories = a.wire_ledger.categories();
-  const auto rhs_categories = b.wire_ledger.categories();
+  const auto lhs_categories = a.ledger.categories();
+  const auto rhs_categories = b.ledger.categories();
   for (std::size_t i = 0; i < lhs_categories.size(); ++i) {
-    const std::string label = std::string("wire ") + lhs_categories[i].name;
+    const std::string label = std::string("ledger ") + lhs_categories[i].name;
     check((label + " bytes").c_str(),
           static_cast<double>(lhs_categories[i].stats->bytes()),
           static_cast<double>(rhs_categories[i].stats->bytes()));
@@ -246,11 +229,11 @@ int run_smoke(const Args& args) {
     const sim::SimulationResults& b = event_queue[i].results;
     // Both series must actually exist: the analytic ledger and the measured
     // wire ledger each have to have counted traffic.
-    if (a.normal_traffic_per_query <= 0.0 || a.wire_messages == 0 ||
-        a.wire_normal_traffic_per_query <= 0.0) {
+    if (a.normal_traffic_per_query <= 0.0 || b.wire_messages == 0 ||
+        b.wire_normal_traffic_per_query <= 0.0) {
       std::fprintf(stderr, "[smoke] cell %zu: missing a series (analytic %.1f, wire %llu msgs)\n",
                    i, a.normal_traffic_per_query,
-                   static_cast<unsigned long long>(a.wire_messages));
+                   static_cast<unsigned long long>(b.wire_messages));
       ok = false;
     }
     if (b.event_clock_ms <= 0.0) {
@@ -259,7 +242,7 @@ int run_smoke(const Args& args) {
     }
     if (!identical(a, b, i)) ok = false;
   }
-  std::printf("%s\n", wire_json(in_process).c_str());
+  std::printf("%s\n", wire_json(event_queue).c_str());
   if (!ok) {
     std::fprintf(stderr, "[smoke] FAILED: transports diverged or a series is missing\n");
     return 1;
@@ -276,7 +259,7 @@ int main(int argc, char** argv) {
 
   banner("Figure 12: Average network traffic (bytes) per query");
   sim::SimulationConfig base = paper_config();
-  base.transport = args.transport;
+  base.transport = sim::TransportKind::kEventQueue;  // the one that measures wire bytes
   const biblio::Corpus corpus = biblio::Corpus::generate(base.corpus);
   const std::vector<sim::SimulationConfig> cells = make_cells(base);
 

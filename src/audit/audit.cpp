@@ -394,9 +394,10 @@ void Auditor::check_cache_coherence(Report& report) {
 // Invariant 6: persisting and restoring the system reproduces exactly the
 // same mapping set and record multiset (placement-independent comparison:
 // restore re-places through the current substrate). Under replication the
-// snapshot holds one line per physical copy while restore re-replicates each
-// of them, so the comparison collapses to distinct facts; copy multiplicity
-// is the replica-consistency invariant's business.
+// snapshot holds one line per physical copy and restore puts each distinct
+// fact on every replica, so a drifted replica set comes back whole; the
+// comparison collapses to distinct facts, and copy multiplicity is the
+// replica-consistency invariant's business.
 void Auditor::check_snapshot(Report& report) {
   SectionStats& section = report.section(Invariant::kSnapshot);
 

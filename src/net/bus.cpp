@@ -14,11 +14,10 @@ Message MessageBus::exchange(Message request, const Server& serve) {
   ++exchanges_;
   account(request, transport_.send(request));
 
-  // The in-process transport has already run the whole round trip by now;
-  // the event queue needs pumping until the response frame lands. If the
-  // transport drains idle first, the request or its response leg was lost:
-  // retransmit the identical frame (same id — receivers dedup) under the
-  // end-to-end timeout budget.
+  // Pump until the response frame lands. If the transport drains idle
+  // first, the request or its response leg was lost: retransmit the
+  // identical frame (same id — receivers dedup) under the end-to-end timeout
+  // budget.
   std::size_t retransmits = 0;
   while (responses_.find(id) == responses_.end()) {
     if (!transport_.idle()) {
@@ -49,18 +48,10 @@ Message MessageBus::exchange(Message request, const Server& serve) {
 void MessageBus::post(Message message, Applier apply) {
   const std::uint64_t id = next_request_id_++;
   message.request_id = id;
-  // The pending entry must exist before send() — the in-process transport
-  // applies synchronously from inside the call and erases it. The frame copy
-  // sync() would retransmit is filled in afterwards, and only when the entry
-  // survived the send: synchronously-applied posts never pay for the copy.
-  pending_posts_.emplace(id, PendingPost{std::move(apply), Message{}});
   ++posts_;
   account(message, transport_.send(message));
-  // Re-find rather than reuse the emplace iterator: appliers running inside
-  // send() may post re-entrantly and rehash the map.
-  if (const auto it = pending_posts_.find(id); it != pending_posts_.end()) {
-    it->second.message = std::move(message);
-  }
+  // send() only queues, so the entry is in place before delivery applies it.
+  pending_posts_.emplace(id, PendingPost{std::move(apply), std::move(message)});
 }
 
 void MessageBus::sync() {

@@ -4,9 +4,8 @@
 // Two interaction shapes:
 //
 //   * exchange(request, serve) — a request/response round trip. `serve` runs
-//     at the instant the request is *delivered* (synchronously for the
-//     in-process transport, at the frame's virtual delivery time for the
-//     event queue) and builds the response from live node state.
+//     at the frame's virtual delivery time and builds the response from live
+//     node state.
 //
 //   * post(message, apply) — a one-way operation (publish, replicate,
 //     repair, shortcut install). `apply` runs at delivery and the bus sends
@@ -67,7 +66,7 @@ class MessageBus : public MessageSink {
   Message exchange(Message request, const Server& serve);
 
   /// Sends a one-way message whose effect is `apply`, acknowledged with a
-  /// header-only ack. Delivery may be deferred until sync()/pump.
+  /// header-only ack. Delivery happens on a later pump or sync().
   void post(Message message, Applier apply);
 
   /// Pumps the transport until idle and every pending post has been applied,

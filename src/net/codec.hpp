@@ -21,7 +21,8 @@
 //     CodecError with a specific Kind — truncated, corrupted, or
 //     version-skewed input is never undefined behaviour.
 //   * encoded_size(m) == encode(m).size() without materializing the buffer,
-//     which is what the zero-copy in-process transport charges to the ledger.
+//     which is what MessageBus::record_lost charges for a frame that never
+//     reached the transport.
 #pragma once
 
 #include <cstdint>

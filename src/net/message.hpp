@@ -8,8 +8,8 @@
 // payload of byte strings whose meaning is defined per action (PROTOCOL.md).
 //
 // Messages are plain value types: the wire representation lives entirely in
-// net::codec (codec.hpp), so the in-process fast path can move them around
-// without ever serializing.
+// net::codec (codec.hpp), which the transport applies to every frame it
+// queues.
 #pragma once
 
 #include <cstdint>

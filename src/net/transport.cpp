@@ -8,15 +8,6 @@
 
 namespace dhtidx::net {
 
-std::uint64_t InProcessTransport::send(const Message& message) {
-  const std::uint64_t wire_bytes = codec::encoded_size(message);
-  ++delivered_;
-  if (sink_ != nullptr) {
-    sink_->on_message(message, wire_bytes);
-  }
-  return wire_bytes;
-}
-
 std::uint64_t EventQueueTransport::send(const Message& message) {
   std::string frame = codec::encode(message);
   const std::uint64_t wire_bytes = frame.size();

@@ -1,26 +1,16 @@
-// Pluggable message transports.
+// Message transport.
 //
 // A Transport moves Messages from sender to receiver and reports the wire
-// size of each frame. Three implementations:
+// size of each frame. send() only queues: nothing reaches the sink before
+// pump(), so a caller's state is settled before any delivery runs.
 //
-//   * InProcessTransport — the fast path. Messages are handed to the sink by
-//     reference, zero-copy: nothing is serialized, the wire size is computed
-//     arithmetically (codec::encoded_size). Delivery is synchronous, so the
-//     observable call order is identical to direct function calls — this is
-//     what keeps the default sweep JSON bit-identical.
-//
-//   * EventQueueTransport — a deterministic discrete-event queue. send()
-//     encodes the frame and schedules it at now + hop_delay; pump() delivers
-//     queued frames in (deliver_at, sequence) order, decoding each one (so
-//     every delivered message has survived a real round trip). With the
-//     default constant hop delay the delivery order equals send order, which
-//     is the property the CI smoke pins: at drop probability 0 the
-//     event-queue run must be bit-identical to the in-process run. Every
-//     frame is encoded on its own and queued alone, so chaos faults act on
-//     single frames.
-//
-//   * UdpTransport (udp.hpp) — real datagrams over the loopback interface,
-//     for the examples/ demo.
+// EventQueueTransport is the one implementation, a deterministic
+// discrete-event queue. send() encodes the frame and schedules it at
+// now + hop_delay; pump() delivers queued frames in (deliver_at, sequence)
+// order, decoding each one, so every delivered message has survived a real
+// round trip. With the default constant hop delay the delivery order equals
+// send order. Every frame is encoded on its own and queued alone, so chaos
+// faults act on single frames.
 //
 // Transports know nothing about RPC semantics; pairing requests with
 // responses and accounting bytes into a TrafficLedger is the MessageBus's job
@@ -32,19 +22,11 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "net/message.hpp"
 
 namespace dhtidx::net {
 
 class ChaosInjector;
-
-/// Thrown when a transport syscall fails (socket setup, send, poll). A typed
-/// subclass so callers can tell an I/O failure from a protocol error.
-class TransportError : public Error {
- public:
-  explicit TransportError(const std::string& what) : Error("transport: " + what) {}
-};
 
 /// Receives delivered messages together with their wire size in bytes.
 class MessageSink {
@@ -65,7 +47,8 @@ class Transport {
 
   virtual const char* name() const = 0;
 
-  /// Queues (or immediately delivers) one message. Returns its wire size.
+  /// Queues one message for delivery by a later pump(); never delivers
+  /// from inside the call. Returns its wire size.
   virtual std::uint64_t send(const Message& message) = 0;
 
   /// Delivers every message currently queued (and any sent during delivery).
@@ -76,29 +59,13 @@ class Transport {
 
   /// Lets protocol layers charge wall-free waiting (retransmission backoff)
   /// to the transport's notion of time. Virtual-time transports advance
-  /// their clock; real-time transports ignore it (their callers block for
-  /// real instead).
+  /// their clock; the default ignores it.
   virtual void wait(double ms) { (void)ms; }
 
   void set_sink(MessageSink* sink) { sink_ = sink; }
 
  protected:
   MessageSink* sink_ = nullptr;
-};
-
-/// Synchronous zero-copy transport: the message object itself is the frame.
-class InProcessTransport : public Transport {
- public:
-  const char* name() const override { return "in-process"; }
-
-  std::uint64_t send(const Message& message) override;
-  void pump() override {}
-  bool idle() const override { return true; }
-
-  std::uint64_t delivered() const { return delivered_; }
-
- private:
-  std::uint64_t delivered_ = 0;
 };
 
 /// Deterministic discrete-event transport. Virtual time only: the clock

@@ -82,7 +82,9 @@ LoadStats load_snapshot(std::string_view snapshot_xml, index::IndexService& serv
           throw ParseError("malformed virtual-bytes: " + *virtual_bytes);
         }
       }
-      store.put(Id::from_hex(*key), record);
+      // One <record> per stored copy, so the same record arrives once per
+      // replica it was saved from: place it on the replicas that lack it.
+      store.ensure(Id::from_hex(*key), record);
       ++stats.records;
     }
   }

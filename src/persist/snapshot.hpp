@@ -23,13 +23,16 @@ namespace dhtidx::persist {
 std::string save_snapshot(const index::IndexService& service,
                           const storage::DhtStore& store);
 
-/// Counts of what a load restored.
+/// Counts of what a load read. A snapshot holds one element per stored copy,
+/// so at replication r each mapping and each record counts r times.
 struct LoadStats {
-  std::size_t mappings = 0;
-  std::size_t records = 0;
+  std::size_t mappings = 0;  ///< <mapping> elements read
+  std::size_t records = 0;   ///< <record> elements read
 };
 
-/// Restores a snapshot into (typically empty) service/store instances.
+/// Restores a snapshot into (typically empty) service/store instances. Each
+/// mapping and record is placed on every replica of its key that lacks it,
+/// so the copies saved from r replicas restore as r copies, not r * r.
 /// Throws ParseError on malformed input and InvariantError when a mapping
 /// violates the covering relation.
 LoadStats load_snapshot(std::string_view snapshot_xml, index::IndexService& service,

@@ -10,10 +10,11 @@
 
 namespace dhtidx::sim {
 
-/// Which message transport carries the run's RPCs (see net/transport.hpp).
-/// kInProcess is the zero-copy default and keeps results bit-identical to the
-/// pre-message-layer behaviour; kEventQueue serializes every frame through a
-/// deterministic discrete-event queue.
+/// Whether the run's RPCs also cross a wire (see net/transport.hpp).
+/// kInProcess, the default, means no wire layer: services call each other
+/// directly and the wire_* results stay empty. kEventQueue sends every RPC
+/// as a serialized frame through the deterministic discrete-event queue and
+/// a MessageBus, which measures the wire_* results.
 enum class TransportKind { kInProcess, kEventQueue };
 
 const char* to_string(TransportKind transport);
@@ -112,7 +113,8 @@ struct SimulationResults {
 
   // Measured wire traffic for the query phase: serialized codec frame bytes
   // counted by the message bus, category-for-category comparable with
-  // `ledger` above. fig12 plots the two side by side.
+  // `ledger` above. fig12 plots the two side by side. Zero unless the run
+  // used the event-queue transport.
   TransportKind transport = TransportKind::kInProcess;
   net::TrafficLedger wire_ledger;
   double wire_normal_traffic_per_query = 0.0;

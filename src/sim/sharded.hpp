@@ -54,10 +54,9 @@
 //    code inline).
 //
 // Restrictions, checked by run_simulation (InvariantError otherwise): Ring
-// substrate, in-process transport, no churn or chaos, no shared corpus;
-// shards > 1 additionally requires a streaming world. The message bus stays
-// detached: sharded sessions run on several threads, and MessageBus is
-// single-threaded.
+// substrate, in-process transport (no wire layer: sharded sessions run on
+// several threads, and MessageBus is single-threaded), no churn or chaos, no
+// shared corpus; shards > 1 additionally requires a streaming world.
 #pragma once
 
 #include <cstdint>

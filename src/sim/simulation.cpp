@@ -149,28 +149,16 @@ SimulationResults run_simulation(const SimulationConfig& config,
   storage::DhtStore store{ring, ledger, config.replication};
   index::IndexService service{ring, ledger, config.cache_capacity, config.replication};
 
-  // Message layer: every RPC additionally travels as a typed net::Message so
-  // the bus's measured ledger counts serialized frame bytes next to the
-  // analytic estimates in `ledger`. The in-process transport delivers
-  // synchronously (zero-copy, behaviour identical to direct calls); the
-  // event-queue transport encodes, queues and decodes every frame. Streaming
-  // worlds leave the bus detached (its measured ledger stays empty): their
-  // sharded sessions run on several threads, and MessageBus is
-  // single-threaded.
-  std::optional<net::InProcessTransport> in_process;
+  // Wire layer, on event-queue runs only: every RPC also travels as an
+  // encoded net::Message, and the bus's measured ledger counts frame bytes
+  // next to the analytic estimates in `ledger`. In-process runs, streaming
+  // ones included, have none and leave the wire_* results empty.
   std::optional<net::EventQueueTransport> event_queue;
-  net::Transport* transport = nullptr;
+  std::optional<net::MessageBus> bus;
   if (config.transport == TransportKind::kEventQueue) {
-    event_queue.emplace();
-    transport = &*event_queue;
-  } else {
-    in_process.emplace();
-    transport = &*in_process;
-  }
-  net::MessageBus bus{*transport};
-  if (!stream) {
-    service.set_bus(&bus);
-    store.set_bus(&bus);
+    bus.emplace(event_queue.emplace());
+    service.set_bus(&*bus);
+    store.set_bus(&*bus);
   }
 
   // One ChaosInjector serves both fault planes: churn uses the inherited
@@ -187,7 +175,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
     store.set_retry_policy(config.retry);
   }
   if (chaos_enabled) {
-    bus.set_retry_policy(config.retry);
+    bus->set_retry_policy(config.retry);
     event_queue->set_chaos(&*injector);
   }
   index::IndexBuilder builder{service, store, index::IndexingScheme::make(config.scheme)};
@@ -200,7 +188,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
       builder.index_file(article.descriptor(), article.file_name(), article.file_bytes);
     }
   }
-  bus.sync();  // flush publish/store frames queued during the build
+  if (bus) bus->sync();  // flush publish/store frames queued during the build
   const double build_wall_s = wall_seconds_since(build_start);
 #ifdef DHTIDX_AUDIT
   // Phase boundary: the index is fully built, no query has run. Any audit
@@ -216,7 +204,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
   // Index construction traffic is not part of the per-query measurements --
   // neither the analytic estimates nor the measured wire bytes.
   ledger.reset();
-  bus.measured().reset();
+  if (bus) bus->measured().reset();
   if (net::TrafficStats* routing = overlay.routing_stats()) routing->reset();
 
   // --- run the query feed ---------------------------------------------------
@@ -404,15 +392,17 @@ SimulationResults run_simulation(const SimulationConfig& config,
   // Measured wire traffic: flush any frames still queued from the last
   // session, then snapshot the bus ledger before repair-phase maintenance
   // traffic is generated.
-  bus.sync();
   r.transport = config.transport;
-  r.wire_ledger = bus.measured();
-  r.wire_normal_traffic_per_query =
-      static_cast<double>(r.wire_ledger.normal_bytes()) / n_queries;
-  r.wire_cache_traffic_per_query =
-      static_cast<double>(r.wire_ledger.cache.bytes()) / n_queries;
-  r.wire_messages = r.wire_ledger.total_messages();
-  if (event_queue) r.event_clock_ms = event_queue->clock_ms();
+  if (bus) {
+    bus->sync();
+    r.wire_ledger = bus->measured();
+    r.wire_normal_traffic_per_query =
+        static_cast<double>(r.wire_ledger.normal_bytes()) / n_queries;
+    r.wire_cache_traffic_per_query =
+        static_cast<double>(r.wire_ledger.cache.bytes()) / n_queries;
+    r.wire_messages = r.wire_ledger.total_messages();
+    r.event_clock_ms = event_queue->clock_ms();
+  }
 
   // Availability under churn.
   r.replication = config.replication;
@@ -497,7 +487,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
     r.repair_moves += service.rebalance();
     republish_all(config.queries);
     engine.purge_stale_shortcuts();
-    bus.sync();  // flush republish frames before the world is torn down
+    if (bus) bus->sync();  // flush republish frames before the world is torn down
   }
 
   if (chaos_started) {
@@ -506,9 +496,9 @@ SimulationResults run_simulation(const SimulationConfig& config,
     r.chaos_frames_reordered = injector->reordered_frames();
     r.chaos_frames_delayed = injector->delayed_frames();
     r.chaos_frames_corrupted = injector->corrupted_frames();
-    r.bus_timeouts = bus.timeouts();
-    r.bus_duplicates = bus.duplicates_detected();
-    r.bus_rejected = bus.rejected_frames();
+    r.bus_timeouts = bus->timeouts();
+    r.bus_duplicates = bus->duplicates_detected();
+    r.bus_rejected = bus->rejected_frames();
     // Virtual time from the heal to the end of repair: how long the network
     // took to re-converge once the adversary stopped.
     r.convergence_ms = event_queue->clock_ms() - heal_clock_ms;

@@ -111,11 +111,11 @@ struct SimulationConfig {
   /// Mid-run adversarial network schedule; disabled by default.
   ChaosConfig chaos;
 
-  /// Message transport carrying the run's RPCs. The default in-process
-  /// transport is the zero-copy fast path and keeps sweep output
-  /// bit-identical to the pre-message-layer behaviour; kEventQueue encodes,
-  /// queues and decodes every frame through the deterministic discrete-event
-  /// transport.
+  /// Wire layer of the run. The default, kInProcess, has none: RPCs are
+  /// direct calls and the wire_* results stay empty. kEventQueue also sends
+  /// every RPC through a MessageBus over the deterministic discrete-event
+  /// transport, which encodes, queues and decodes each frame and measures
+  /// the wire_* results. Every other result is the same under both.
   TransportKind transport = TransportKind::kInProcess;
 
   /// Streaming world: articles and queries are synthesized on demand from

@@ -16,7 +16,7 @@ class Parser {
 
   Element parse_document() {
     skip_prolog();
-    Element root = parse_element();
+    Element root = parse_element(1);
     skip_misc();
     if (!at_end()) fail("trailing content after root element");
     return root;
@@ -121,7 +121,10 @@ class Parser {
     return decode_entities(raw);
   }
 
-  Element parse_element() {
+  Element parse_element(std::size_t depth) {
+    if (depth > kMaxDepth) {
+      fail("elements nested deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
     expect("<");
     Element element{parse_name()};
     for (;;) {
@@ -134,11 +137,11 @@ class Parser {
       skip_whitespace();
       element.set_attribute(key, parse_attribute_value());
     }
-    parse_content(element);
+    parse_content(element, depth);
     return element;
   }
 
-  void parse_content(Element& element) {
+  void parse_content(Element& element, std::size_t depth) {
     std::string decoded;  // final text content
     std::string raw;      // pending character data, not yet entity-decoded
     const auto flush = [&] {
@@ -167,7 +170,7 @@ class Parser {
         element.set_text(std::string{trim(decoded)});
         return;
       } else if (peek() == '<') {
-        element.add_child(parse_element());
+        element.add_child(parse_element(depth + 1));
       } else {
         raw.push_back(take());
       }

@@ -7,11 +7,18 @@
 // declaration, and namespaces (colons are treated as ordinary name chars).
 #pragma once
 
+#include <cstddef>
 #include <string_view>
 
 #include "xml/node.hpp"
 
 namespace dhtidx::xml {
+
+/// Deepest element nesting parse() accepts (the root is level 1). Documents
+/// the library writes nest at most 4 levels. The cap bounds the parser's
+/// recursion and the recursive destructor of the tree it returns, so a
+/// hostile document gets a ParseError instead of a stack overflow.
+inline constexpr std::size_t kMaxDepth = 256;
 
 /// Parses a complete document and returns its root element.
 /// Throws dhtidx::ParseError with a line/column diagnostic on malformed input.

@@ -1,16 +1,16 @@
 // Committed goldens for the simulation driver.
 //
 // A fixed matrix of cells runs through sim::run_simulation: materialized
-// worlds under every scheme, cache policy, substrate and transport, with
-// replication, churn and chaos schedules, plus streaming worlds at one and
-// two shards. Each cell is rendered as one line holding every
-// SimulationResults field except the three machine-dependent ones
-// (build_wall_s, feed_wall_s, peak_rss_bytes): doubles printed with %.17g,
-// messages/bytes per category of both `ledger` and `wire_ledger`, and the
-// full node_load_fractions vector. Every line must match
-// tests/goldens/simulation_cells.txt byte for byte, so a change to the
-// driver, the feeds, the transports or the index code that moves any output
-// fails here and names the cell and the first field that moved.
+// worlds under every scheme, cache policy and substrate, with replication,
+// churn and chaos schedules, each in-process cell with an event-queue twin,
+// plus streaming worlds at one and two shards. Each cell is rendered as one
+// line holding every SimulationResults field except the three
+// machine-dependent ones (build_wall_s, feed_wall_s, peak_rss_bytes):
+// doubles printed with %.17g, messages/bytes per category of both `ledger`
+// and `wire_ledger`, and the full node_load_fractions vector. Every line
+// must match tests/goldens/simulation_cells.txt byte for byte, so a change
+// to the driver, the feeds, the wire layer or the index code that moves any
+// output fails here and names the cell and the first field that moved.
 //
 // Re-recording is a deliberate edit, never a switch: there is no flag or
 // environment variable for it. When a change is meant to move a number, run
@@ -95,10 +95,6 @@ std::vector<Cell> cells() {
     add(std::string{name} + "_simple_single", config);
   }
 
-  SimulationConfig event_queue = materialized(SchemeKind::kSimple, CachePolicy::kSingle);
-  event_queue.transport = TransportKind::kEventQueue;
-  add("eventq_simple_single", event_queue);
-
   SimulationConfig replicated = materialized(SchemeKind::kSimple, CachePolicy::kSingle);
   replicated.replication = 2;
   add("simple_single_r2", replicated);
@@ -135,6 +131,16 @@ std::vector<Cell> cells() {
   SimulationConfig weights = materialized(SchemeKind::kFlat, CachePolicy::kSingle);
   weights.structure_weights = {0.2, 0.3, 0.2, 0.15, 0.15};
   add("flat_single_custom_weights", weights);
+
+  // Only event-queue runs carry a wire layer, so every materialized
+  // in-process cell gets an event-queue twin that pins its wire_* fields.
+  // TransportTwinsAgreeOffTheWire checks the pairs against each other.
+  for (std::size_t i = 0, materialized_cells = out.size(); i < materialized_cells; ++i) {
+    if (out[i].config.transport != TransportKind::kInProcess) continue;
+    SimulationConfig twin = out[i].config;
+    twin.transport = TransportKind::kEventQueue;
+    add("eventq_" + out[i].name, std::move(twin));
+  }
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
     const std::string s = "_s" + std::to_string(shards);
@@ -325,6 +331,42 @@ TEST(SimulationGoldenFile, ListsExactlyTheMatrix) {
     EXPECT_EQ(names.count(name), 1u) << "golden line for unknown cell " << name;
   }
   EXPECT_EQ(goldens().size(), names.size());
+}
+
+// Reads the committed file only. In-process runs have no wire layer, so
+// their wire_* tokens are zero; each eventq_<cell> twin must equal <cell> on
+// every token but transport, event_clock_ms and wire_*. Without this,
+// re-recording one side of a pair alone would pass.
+TEST(SimulationGoldenFile, TransportTwinsAgreeOffTheWire) {
+  const auto may_differ = [](const std::string& token) {
+    return token.rfind("wire_", 0) == 0 || token.rfind("transport=", 0) == 0 ||
+           token.rfind("event_clock_ms=", 0) == 0;
+  };
+  const auto off_wire = [&](const std::string& line) {
+    std::vector<std::string> kept = tokens(line);
+    kept.erase(kept.begin());  // the cell name
+    std::erase_if(kept, may_differ);
+    return kept;
+  };
+  for (const auto& [name, line] : goldens()) {
+    const std::vector<std::string> fields = tokens(line);
+    if (std::find(fields.begin(), fields.end(), "transport=in-process") == fields.end()) {
+      continue;
+    }
+    for (const std::string& token : fields) {
+      if (token.rfind("wire_", 0) != 0) continue;
+      const std::string value = token.substr(token.find('=') + 1);
+      EXPECT_TRUE(value == "0" || value == "0/0") << name << ": " << token;
+    }
+    if (name.rfind("stream_", 0) == 0) continue;  // streaming worlds run in-process only
+    const auto twin = goldens().find("eventq_" + name);
+    if (twin == goldens().end()) {
+      ADD_FAILURE() << "in-process cell " << name << " has no eventq_ twin";
+      continue;
+    }
+    EXPECT_EQ(off_wire(twin->second), off_wire(line))
+        << twin->first << " and " << name << " differ off the wire";
+  }
 }
 
 }  // namespace

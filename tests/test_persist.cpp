@@ -71,6 +71,33 @@ TEST(Snapshot, RoundTripPreservesEverything) {
   }
 }
 
+TEST(Snapshot, RoundTripKeepsEveryNodesRecordsUnderReplication) {
+  // The snapshot holds one <record> per stored copy. A load that puts each of
+  // them to every replica grows records r-fold: 80 -> 160 at r = 2 and
+  // 120 -> 360 at r = 3.
+  const biblio::Corpus corpus = small_corpus();
+  for (const std::size_t replication : {1u, 2u, 3u}) {
+    SCOPED_TRACE("replication " + std::to_string(replication));
+    World original{20, replication};
+    build(original, corpus);
+    World restored{20, replication};
+    const LoadStats stats = load_snapshot(save_snapshot(original.service, original.store),
+                                          restored.service, restored.store);
+    EXPECT_EQ(stats.records, original.store.total_records());
+    EXPECT_EQ(restored.store.total_records(), original.store.total_records());
+    EXPECT_EQ(restored.store.node_stores().size(), original.store.node_stores().size());
+    for (const auto& [node, node_store] : original.store.node_stores()) {
+      const storage::NodeStore* copy = restored.store.find_node_store(node);
+      ASSERT_NE(copy, nullptr) << node.brief();
+      EXPECT_EQ(copy->record_count(), node_store.record_count()) << node.brief();
+      EXPECT_TRUE(copy->keys() == node_store.keys()) << node.brief();
+      for (const Id& key : node_store.keys()) {
+        EXPECT_TRUE(copy->get(key) == node_store.get(key)) << node.brief() << " " << key.brief();
+      }
+    }
+  }
+}
+
 TEST(Snapshot, RestoreUnderDifferentMembership) {
   // A snapshot taken on a 20-node network restores onto a 35-node network:
   // entries re-place through the new DHT automatically.
@@ -227,8 +254,8 @@ std::vector<std::string> snapshot_mutants(const std::string& snapshot) {
 }
 
 TEST(SnapshotMutation, EveryMutantLoadsCleanOrThrowsTypedError) {
-  // load_snapshot places through IndexService::insert and DhtStore::put, so a
-  // hostile snapshot drives the one placement path and xml::parse. Each
+  // load_snapshot places through IndexService::insert and DhtStore::ensure,
+  // so a hostile snapshot drives the one placement path and xml::parse. Each
   // mutant either loads, and then every mapping covers its target and sits
   // on its key's replica set, or throws a dhtidx::Error subtype.
   biblio::CorpusConfig config;

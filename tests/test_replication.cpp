@@ -230,11 +230,11 @@ class RecordingInjector : public net::FailureInjector {
 };
 
 /// Records the destination of every request frame sent.
-class RecordingTransport : public net::InProcessTransport {
+class RecordingTransport : public net::EventQueueTransport {
  public:
   std::uint64_t send(const net::Message& message) override {
     if (message.context == net::Context::kRequest) requested.push_back(message.to);
-    return InProcessTransport::send(message);
+    return EventQueueTransport::send(message);
   }
   std::vector<Id> requested;
 };

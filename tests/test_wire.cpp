@@ -12,7 +12,6 @@
 #include "net/codec.hpp"
 #include "net/message.hpp"
 #include "net/transport.hpp"
-#include "net/udp.hpp"
 
 namespace dhtidx::net {
 namespace {
@@ -255,21 +254,6 @@ struct CollectingSink : MessageSink {
   }
 };
 
-TEST(InProcessTransport, DeliversSynchronouslyWithCodecAccurateSizes) {
-  InProcessTransport transport;
-  CollectingSink sink;
-  transport.set_sink(&sink);
-
-  const Message m = sample_message();
-  const std::uint64_t size = transport.send(m);
-  ASSERT_EQ(sink.messages.size(), 1u);  // delivered before send() returned
-  EXPECT_EQ(sink.messages[0], m);
-  EXPECT_EQ(size, codec::encoded_size(m));
-  EXPECT_EQ(sink.sizes[0], size);
-  EXPECT_TRUE(transport.idle());
-  EXPECT_EQ(transport.delivered(), 1u);
-}
-
 TEST(EventQueueTransport, DeliversInSendOrderAndAdvancesTheClock) {
   EventQueueTransport transport{/*hop_delay_ms=*/2.5};
   CollectingSink sink;
@@ -340,7 +324,7 @@ TEST(EventQueueTransport, ReentrantSendDuringDeliveryIsSafe) {
 // --- Message bus ------------------------------------------------------------
 
 TEST(MessageBus, ExchangeRoundTripsAndAccountsBothLegs) {
-  InProcessTransport transport;
+  EventQueueTransport transport;
   MessageBus bus{transport};
 
   Message request = Message::request(Action::kLookup, Id{}, Id::hash("server"));
@@ -395,7 +379,7 @@ TEST(MessageBus, PostAppliesAtDeliveryAndAcksUnderRouting) {
 }
 
 TEST(MessageBus, CategoriesAreExclusivePerAction) {
-  InProcessTransport transport;
+  EventQueueTransport transport;
   MessageBus bus{transport};
   const auto respond = [](const Message& req) { return Message::response_to(req); };
   const auto noop = [](const Message&) {};
@@ -427,7 +411,7 @@ TEST(MessageBus, CategoriesAreExclusivePerAction) {
 }
 
 TEST(MessageBus, RecordLostChargesRetriesOnly) {
-  InProcessTransport transport;
+  EventQueueTransport transport;
   MessageBus bus{transport};
   const Message m = sample_message();
   bus.record_lost(m);
@@ -439,11 +423,6 @@ TEST(MessageBus, RecordLostChargesRetriesOnly) {
 }
 
 TEST(MessageBus, DrainedTransportWithoutResponseThrows) {
-  // A sink-side server that never answers: the applier map is empty and the
-  // request id matches no server once we bypass exchange's registration by
-  // sending a response-context frame (parked, not dispatched).
-  InProcessTransport transport;
-  MessageBus bus{transport};
   Message orphan = Message::request(Action::kLookup, Id{}, Id::hash("gone"));
   // Server that eats the request without responding is impossible through
   // exchange() -- it always sends some response -- so emulate a lost reply by
@@ -459,48 +438,6 @@ TEST(MessageBus, DrainedTransportWithoutResponseThrows) {
     return Message::response_to(req);
   }),
                Error);
-}
-
-// --- UDP loopback -----------------------------------------------------------
-
-TEST(UdpTransport, LoopbackRoundTripBetweenTwoEndpoints) {
-  const Id alice = Id::hash("udp-alice");
-  const Id bob = Id::hash("udp-bob");
-
-  UdpTransport a;
-  UdpTransport b;
-  ASSERT_NE(a.port(), 0);
-  ASSERT_NE(b.port(), 0);
-  a.add_peer(bob, b.port());
-  b.add_peer(alice, a.port());
-
-  CollectingSink at_a;
-  CollectingSink at_b;
-  a.set_sink(&at_a);
-  b.set_sink(&at_b);
-
-  Message request = Message::request(Action::kLookup, alice, bob);
-  request.request_id = 42;
-  request.payload = {"/conference[@name='ICDCS']"};
-  const std::uint64_t size = a.send(request);
-  EXPECT_EQ(size, codec::encoded_size(request));
-
-  ASSERT_TRUE(b.poll_and_pump(2000)) << "datagram never arrived on loopback";
-  ASSERT_EQ(at_b.messages.size(), 1u);
-  EXPECT_EQ(at_b.messages[0], request);  // survived a real datagram round trip
-  EXPECT_EQ(at_b.sizes[0], size);
-
-  Message response = Message::response_to(at_b.messages[0]);
-  response.payload = {"answer"};
-  b.send(response);
-  ASSERT_TRUE(a.poll_and_pump(2000));
-  ASSERT_EQ(at_a.messages.size(), 1u);
-  EXPECT_EQ(at_a.messages[0], response);
-}
-
-TEST(UdpTransport, SendToUnknownPeerThrows) {
-  UdpTransport a;
-  EXPECT_THROW(a.send(sample_message()), Error);
 }
 
 }  // namespace

@@ -111,6 +111,25 @@ TEST(XmlParser, ErrorsCarryLocation) {
   }
 }
 
+std::string nested_elements(std::size_t levels) {
+  std::string document;
+  for (std::size_t i = 0; i < levels; ++i) document += "<a>";
+  for (std::size_t i = 0; i < levels; ++i) document += "</a>";
+  return document;
+}
+
+TEST(XmlParser, DeepNestingIsAParseErrorNotAStackOverflow) {
+  // 100,000 levels (700 KB): a parser that recursed once per level without
+  // a cap overflows the stack here, and load_snapshot parses whole files
+  // through this parser.
+  EXPECT_THROW(parse(nested_elements(100000)), ParseError);
+}
+
+TEST(XmlParser, DepthCapAdmitsExactlyMaxDepthLevels) {
+  EXPECT_EQ(parse(nested_elements(kMaxDepth)).name(), "a");
+  EXPECT_THROW(parse(nested_elements(kMaxDepth + 1)), ParseError);
+}
+
 TEST(XmlWriter, EscapesSpecialCharacters) {
   Element e{"a", "1 < 2 & x"};
   const std::string out = write(e, {.pretty = false});
