@@ -14,6 +14,7 @@
 //                      [--crash F] [--drop F] [--republish N]
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "bench_util.hpp"
@@ -33,25 +34,14 @@ struct Args {
   std::size_t republish_interval = 0;  ///< 0 = queries / 10
 };
 
-std::size_t parse_count(const char* argv0, const std::string& flag, const char* text) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: '%s' is not a count for %s\n", argv0, text, flag.c_str());
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(value);
-}
-
 double parse_fraction(const char* argv0, const std::string& flag, const char* text) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || value < 0.0 || value > 1.0) {
+  const std::optional<double> value = parse_number<double>(text);
+  if (!value || *value > 1.0) {
     std::fprintf(stderr, "%s: '%s' is not a fraction in [0,1] for %s\n", argv0, text,
                  flag.c_str());
     std::exit(2);
   }
-  return value;
+  return *value;
 }
 
 Args parse(int argc, char** argv) {

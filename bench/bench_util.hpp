@@ -8,9 +8,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sweep.hpp"
 
@@ -21,6 +23,18 @@ struct BenchOptions {
   std::size_t jobs = 0;    ///< worker threads for sweeps; 0 = hardware concurrency
   std::size_t shards = 0;  ///< >0: run cells as streaming worlds with N shards
 };
+
+/// The one command-line count parser of the bench binaries: digits only
+/// (common/strings.hpp's parse_number), so "-1" is an error rather than
+/// 2^64 - 1. Exits 2 naming `flag` on anything else.
+inline std::size_t parse_count(const char* argv0, const std::string& flag, const char* text) {
+  const std::optional<std::size_t> value = parse_number<std::size_t>(text);
+  if (!value) {
+    std::fprintf(stderr, "%s: '%s' is not a count for %s\n", argv0, text, flag.c_str());
+    std::exit(2);
+  }
+  return *value;
+}
 
 /// Parses `--jobs N` / `--jobs=N` / `-j N`, `--shards N` / `--shards=N` (and
 /// `--help`). Every bench accepts the flags; binaries without independent
@@ -42,21 +56,12 @@ inline BenchOptions parse_options(int argc, char** argv) {
           argv[0]);
       std::exit(0);
     }
-    const auto parse_count = [&](const char* text) {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(text, &end, 10);
-      if (end == text || *end != '\0') {
-        std::fprintf(stderr, "%s: '%s' is not a count\n", argv[0], text);
-        std::exit(2);
-      }
-      return static_cast<std::size_t>(value);
-    };
     if (arg == "--jobs" || arg == "-j" || arg == "--shards") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s: %s expects a count\n", argv[0], arg.c_str());
         std::exit(2);
       }
-      const std::size_t value = parse_count(argv[++i]);
+      const std::size_t value = parse_count(argv[0], arg, argv[++i]);
       if (arg == "--shards") {
         options.shards = value;
       } else {
@@ -65,11 +70,11 @@ inline BenchOptions parse_options(int argc, char** argv) {
       continue;
     }
     if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = parse_count(arg.c_str() + 7);
+      options.jobs = parse_count(argv[0], "--jobs", arg.c_str() + 7);
       continue;
     }
     if (arg.rfind("--shards=", 0) == 0) {
-      options.shards = parse_count(arg.c_str() + 9);
+      options.shards = parse_count(argv[0], "--shards", arg.c_str() + 9);
       continue;
     }
     std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n", argv[0], arg.c_str());

@@ -37,16 +37,6 @@ struct Args {
   std::size_t queries = 12000;
 };
 
-std::size_t parse_count(const char* argv0, const std::string& flag, const char* text) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: '%s' is not a count for %s\n", argv0, text, flag.c_str());
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(value);
-}
-
 Args parse(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {

@@ -54,14 +54,7 @@ Args parse(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--jobs" || arg == "-j") {
-      char* end = nullptr;
-      const char* text = value();
-      const unsigned long jobs = std::strtoul(text, &end, 10);
-      if (end == text || *end != '\0') {
-        std::fprintf(stderr, "%s: '%s' is not a job count\n", argv[0], text);
-        std::exit(2);
-      }
-      args.jobs = static_cast<std::size_t>(jobs);
+      args.jobs = parse_count(argv[0], arg, value());
       continue;
     }
     if (arg == "--smoke") {

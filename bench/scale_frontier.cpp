@@ -63,14 +63,13 @@ Options parse(int argc, char** argv) {
           argv[0]);
       std::exit(0);
     }
-    const auto parse_count = [&](const char* text) {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(text, &end, 10);
-      if (end == text || *end != '\0' || value == 0) {
-        std::fprintf(stderr, "%s: '%s' is not a shard count\n", argv[0], text);
+    const auto shard_count = [&](const char* text) {
+      const std::size_t value = parse_count(argv[0], "--shards", text);
+      if (value == 0) {
+        std::fprintf(stderr, "%s: --shards must be at least 1\n", argv[0]);
         std::exit(2);
       }
-      return static_cast<std::size_t>(value);
+      return value;
     };
     if (arg == "--smoke") {
       options.smoke = true;
@@ -81,11 +80,11 @@ Options parse(int argc, char** argv) {
         std::fprintf(stderr, "%s: --shards expects a count\n", argv[0]);
         std::exit(2);
       }
-      options.shards = parse_count(argv[++i]);
+      options.shards = shard_count(argv[++i]);
       continue;
     }
     if (arg.rfind("--shards=", 0) == 0) {
-      options.shards = parse_count(arg.c_str() + 9);
+      options.shards = shard_count(arg.c_str() + 9);
       continue;
     }
     std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n", argv[0], arg.c_str());

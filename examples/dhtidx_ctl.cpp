@@ -16,12 +16,14 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "dht/ring.hpp"
 #include "index/builder.hpp"
 #include "index/fuzzy.hpp"
@@ -34,6 +36,11 @@ using namespace dhtidx;
 
 namespace {
 
+/// A malformed command line: main prints the usage text and exits 2.
+struct UsageError : Error {
+  using Error::Error;
+};
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -45,7 +52,10 @@ struct Args {
   }
   std::size_t get_size(const std::string& key, std::size_t fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stoull(it->second);
+    if (it == options.end()) return fallback;
+    const std::optional<std::size_t> value = parse_number<std::size_t>(it->second);
+    if (!value) throw UsageError("--" + key + " expects a count, got '" + it->second + "'");
+    return *value;
   }
   bool has(const std::string& key) const { return options.contains(key); }
 };
@@ -252,6 +262,9 @@ int main(int argc, char** argv) {
     if (args.command == "query") return cmd_query(args);
     if (args.command == "stats") return cmd_stats(args);
     if (args.command == "sim") return cmd_sim(args);
+    return usage();
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "dhtidx_ctl: %s\n", e.what());
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dhtidx_ctl: %s\n", e.what());

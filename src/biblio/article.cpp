@@ -1,6 +1,7 @@
 #include "biblio/article.hpp"
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace dhtidx::biblio {
 
@@ -97,17 +98,13 @@ Article article_from_descriptor(const xml::Element& descriptor) {
   a.last_name = last->text();
   a.title = title->text();
   a.conference = conf->text();
-  try {
-    a.year = std::stoi(year->text());
-  } catch (const std::exception&) {
-    throw ParseError("malformed <year>: " + year->text());
-  }
+  const std::optional<int> year_value = parse_number<int>(year->text());
+  if (!year_value) throw ParseError("malformed <year>: " + year->text());
+  a.year = *year_value;
   if (const xml::Element* size = descriptor.child("size")) {
-    try {
-      a.file_bytes = std::stoull(size->text());
-    } catch (const std::exception&) {
-      throw ParseError("malformed <size>: " + size->text());
-    }
+    const std::optional<std::uint64_t> bytes = parse_number<std::uint64_t>(size->text());
+    if (!bytes) throw ParseError("malformed <size>: " + size->text());
+    a.file_bytes = *bytes;
   }
   return a;
 }

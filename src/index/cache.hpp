@@ -12,9 +12,9 @@
 // index service), probes resolve the argument to its interned instance first
 // and then work purely on pointer identity -- no canonical-string
 // concatenation or string-keyed hashing on the hot path. The *_interned
-// variants skip even the probe for callers that already hold pool refs (the
-// sharded feed's apply sub-phase, which replays recorded deltas whose refs
-// were resolved once at record/intern time).
+// variants skip even the probe for callers that already hold pool refs
+// (index::apply_cache_delta, the one rule every session's cache deltas go
+// through).
 //
 // Concurrency contract (DESIGN.md sections 13 and 15): `phase_` is the
 // barrier-phase capability over every mutable structure. During the sharded
@@ -88,9 +88,8 @@ class ShortcutCache {
   bool insert(const query::Query& source, const query::Query& target);
 
   /// insert() for callers that already hold refs from this cache's interner
-  /// (the sharded feed's apply sub-phase, LookupEngine's shortcut replay):
-  /// skips the intern probe -- the dominant cost of a guaranteed-duplicate
-  /// re-install -- and works purely on pointer identity.
+  /// (apply_cache_delta): skips the intern probe -- the dominant cost of a
+  /// guaranteed-duplicate re-install -- and works purely on pointer identity.
   bool insert_interned(const query::Query* source, const query::Query* target);
 
   /// Marks the entry as most recently used.

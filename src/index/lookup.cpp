@@ -30,8 +30,8 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
   // from (node, query): a failed fetch then invalidates that shortcut and the
   // session resumes the normal walk from the jump origin instead of failing.
   std::optional<std::pair<Id, const Query*>> jumped_from;
-  // Shortcuts (node, source -> target_msd) this session invalidated in
-  // recorder mode, where the frozen snapshot keeps returning them. Empty, and
+  // Shortcuts (node, source -> target_msd) this session invalidated: a
+  // deferring recorder's frozen snapshot keeps returning them. Empty, and
   // never allocated, unless a jump failed.
   std::vector<std::pair<Id, const Query*>> invalidated;
   std::deque<Query> scratch;
@@ -58,34 +58,25 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
         // Stale shortcut: the jump promised a file that is not there (crashed
         // or departed storage). Drop the entry so later sessions stop jumping
         // into the void, and fall back to the normal walk from where the jump
-        // happened.
-        if (recorder_ != nullptr) {
-          // Frozen-snapshot mode: the jump itself proves the entry existed in
-          // the epoch snapshot, so the invalidation is recorded and charged
-          // unconditionally; the apply sub-phase's erase is a no-op when two
-          // sessions of one epoch invalidate the same entry. The snapshot
-          // still holds the entry, so the rest of the session skips it.
-          recorder_->record_invalidate(jumped_from->first, *jumped_from->second,
-                                       target_msd);
-          invalidated.push_back(*jumped_from);
-          ledger.cache.record(net::kMessageOverheadBytes);  // invalidation notice
-          ++outcome.stale_shortcuts;
-        } else if (IndexNodeState* origin = service_.find_state(jumped_from->first);
-            origin != nullptr &&
-            origin->cache().erase(*jumped_from->second, target_msd)) {
-          ledger.cache.record(net::kMessageOverheadBytes);  // invalidation notice
-          if (net::MessageBus* bus = service_.bus(); bus != nullptr) {
-            // Wire record of the invalidation: a shortcut message with
-            // kNotFound status drops the entry (PROTOCOL.md).
-            net::Message notice = net::Message::request(
-                net::Action::kShortcut, Id{}, jumped_from->first);
-            notice.status = net::Status::kNotFound;
-            notice.payload.push_back(jumped_from->second->canonical());
-            notice.payload.push_back(target_msd.canonical());
-            bus->post(std::move(notice), [](const net::Message&) {});
-          }
-          ++outcome.stale_shortcuts;
+        // happened. The jump proves the session's cache held the entry, so
+        // the notice is charged, and on bus worlds posted, right here; the
+        // erase is the recorder's. A deferring recorder's frozen snapshot
+        // keeps the entry, so the rest of the session skips it.
+        ledger.cache.record(net::kMessageOverheadBytes);  // invalidation notice
+        if (net::MessageBus* bus = service_.bus(); bus != nullptr) {
+          // Wire record of the invalidation: a shortcut message with
+          // kNotFound status drops the entry (PROTOCOL.md).
+          net::Message notice =
+              net::Message::request(net::Action::kShortcut, Id{}, jumped_from->first);
+          notice.status = net::Status::kNotFound;
+          notice.payload.push_back(jumped_from->second->canonical());
+          notice.payload.push_back(target_msd.canonical());
+          bus->post(std::move(notice), [](const net::Message&) {});
         }
+        recorder_->record(CacheDeltaKind::kInvalidate, jumped_from->first,
+                          *jumped_from->second, target_msd);
+        invalidated.push_back(*jumped_from);
+        ++outcome.stale_shortcuts;
         outcome.cache_hit = false;
         outcome.cache_hit_position = 0;
         q = jumped_from->second;
@@ -113,7 +104,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     // a hit answers with the target descriptor directly.
     bool key_has_cache_entries = false;
     if (caching_enabled(config_.policy) && contact.state != nullptr) {
-      ShortcutCache& cache = contact.state->cache();
+      const ShortcutCache& cache = contact.state->cache();
       const auto cached = cache.find(*q);
       // An entry this session invalidated counts as erased: no hit, and not
       // an entry of the key.
@@ -135,11 +126,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
       }
       key_has_cache_entries = live_entries != 0;
       if (hit != nullptr) {
-        if (recorder_ != nullptr) {
-          recorder_->record_touch(node, *q, target_msd);
-        } else {
-          cache.touch(*q, target_msd);
-        }
+        recorder_->record(CacheDeltaKind::kTouch, node, *q, *hit);
         ledger.cache.record(target_msd.byte_size() + net::kMessageOverheadBytes);
         if (!outcome.cache_hit) {
           outcome.cache_hit = true;
@@ -247,34 +234,47 @@ std::vector<Query> LookupEngine::generalization_candidates(const Query& q) {
 void LookupEngine::create_shortcuts(const std::vector<std::pair<Id, const Query*>>& asked,
                                     const Query& target_msd) {
   if (!caching_enabled(config_.policy) || asked.empty()) return;
-  net::TrafficLedger& ledger = service_.active_ledger();
   net::FailureInjector* failures = service_.failures();
   const std::size_t count = multi_placement(config_.policy) ? asked.size() : 1;
   for (std::size_t i = 0; i < count; ++i) {
     const auto& [node, q] = asked[i];
     if (*q == target_msd) continue;  // no point shortcutting the MSD to itself
     if (failures != nullptr && failures->is_crashed(node)) continue;  // dead, no cache
-    if (recorder_ != nullptr) {
-      // Frozen-snapshot mode: the install intent is recorded; the apply
-      // sub-phase performs the insert in total order and charges the cache
-      // ledger only for deltas that actually create an entry (mirroring the
-      // insert()-returned-true condition below).
-      recorder_->record_install(node, *q, target_msd);
-      continue;
-    }
-    IndexNodeState& state = service_.state_at(node);
-    if (state.cache().insert(*q, target_msd)) {
-      ledger.cache.record(q->byte_size() + target_msd.byte_size() +
-                          net::kMessageOverheadBytes);
-      if (net::MessageBus* bus = service_.bus(); bus != nullptr) {
-        net::Message install =
-            net::Message::request(net::Action::kShortcut, Id{}, node);
-        install.payload.push_back(q->canonical());
-        install.payload.push_back(target_msd.canonical());
+    recorder_->record(CacheDeltaKind::kInstall, node, *q, target_msd);
+  }
+}
+
+void apply_cache_delta(IndexService& service, const Id& node, IndexNodeState& state,
+                       CacheDeltaKind kind, const Query* source, const Query* target) {
+  ShortcutCache& cache = state.cache();
+  switch (kind) {
+    case CacheDeltaKind::kTouch:
+      cache.touch_interned(source, target);
+      return;
+    case CacheDeltaKind::kInstall:
+      if (!cache.insert_interned(source, target)) return;
+      service.active_ledger().cache.record(source->byte_size() + target->byte_size() +
+                                           net::kMessageOverheadBytes);
+      if (net::MessageBus* bus = service.bus(); bus != nullptr) {
+        net::Message install = net::Message::request(net::Action::kShortcut, Id{}, node);
+        install.payload.push_back(source->canonical());
+        install.payload.push_back(target->canonical());
         bus->post(std::move(install), [](const net::Message&) {});
       }
-    }
+      return;
+    case CacheDeltaKind::kInvalidate:
+      cache.erase_interned(source, target);
+      return;
   }
+}
+
+void ImmediateCacheApply::record(CacheDeltaKind kind, const Id& node, const Query& source,
+                                 const Query& target) {
+  query::QueryInterner& interner = service_.interner();
+  const Query* interned_source = interner.intern(source);
+  const Query* interned_target = interner.intern(target);
+  apply_cache_delta(service_, node, service_.state_at(node), kind, interned_source,
+                    interned_target);
 }
 
 std::vector<Query> LookupEngine::search_range(const Query& base,

@@ -10,11 +10,17 @@
 //     ("locating non-indexed data", the source of Table I's error counts),
 //   - creates shortcut entries after success, per the configured policy.
 //
+// The engine never mutates a shortcut cache itself: every touch, install and
+// invalidation goes to a CacheDeltaRecorder, and apply_cache_delta applies
+// it -- at once by default, or in the feed engine's apply sub-phase
+// (sim/sharded.hpp).
+//
 // search_all() is the automated mode: it exhaustively explores the index
 // below a query and returns every reachable MSD, for applications that want
 // full result sets rather than a directed walk.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/id.hpp"
@@ -25,29 +31,43 @@
 
 namespace dhtidx::index {
 
-/// Record-don't-mutate hook for shard-concurrent caching feeds (DESIGN.md
-/// section 15). While attached to a LookupEngine, resolve() treats every
-/// shortcut cache as a frozen read-only snapshot: instead of touching,
-/// installing or erasing entries it reports the intended mutation here, and
-/// the sharded feed replays the recorded deltas against the owning node's
-/// cache -- in the feed's (virtual-time, seq) total order -- during the apply
-/// sub-phase. The queries passed in live for the duration of the call only;
-/// implementations resolve or copy them before returning.
+/// What one shortcut-cache delta does.
+enum class CacheDeltaKind : std::uint8_t {
+  kTouch,       ///< a hit promoted the entry to most recently used
+  kInstall,     ///< shortcut creation after a successful session
+  kInvalidate,  ///< a failed jump dropped the stale entry
+};
+
+/// The one shortcut-cache apply rule. `state` is `node`'s partition, which
+/// the caller resolves (state_at when serial, find_state in the sharded apply
+/// sub-phase); `source` and `target` are interned. Touching or erasing a gone
+/// entry is a no-op. An install that creates an entry charges source + target
+/// + kMessageOverheadBytes to the active cache ledger and, on bus worlds,
+/// posts its kShortcut frame. (An invalidation's notice is charged and posted
+/// when the session records it.)
+void apply_cache_delta(IndexService& service, const Id& node, IndexNodeState& state,
+                       CacheDeltaKind kind, const query::Query* source,
+                       const query::Query* target);
+
+/// Receives every shortcut-cache delta of LookupEngine::resolve and decides
+/// when apply_cache_delta runs. The queries live for the call only.
 class CacheDeltaRecorder {
  public:
   virtual ~CacheDeltaRecorder() = default;
+  virtual void record(CacheDeltaKind kind, const Id& node, const query::Query& source,
+                      const query::Query& target) = 0;
+};
 
-  /// A cache hit would have promoted (source, target) to most recently used.
-  virtual void record_touch(const Id& node, const query::Query& source,
-                            const query::Query& target) = 0;
+/// Every LookupEngine's default recorder: applies each delta when the
+/// session reports it (the feed engine's epoch-length-1 case). Serial only.
+class ImmediateCacheApply final : public CacheDeltaRecorder {
+ public:
+  explicit ImmediateCacheApply(IndexService& service) : service_(service) {}
+  void record(CacheDeltaKind kind, const Id& node, const query::Query& source,
+              const query::Query& target) override;
 
-  /// Shortcut creation after success would have inserted (source, target).
-  virtual void record_install(const Id& node, const query::Query& source,
-                              const query::Query& target) = 0;
-
-  /// A failed jump would have invalidated the stale (source, target) entry.
-  virtual void record_invalidate(const Id& node, const query::Query& source,
-                                 const query::Query& target) = 0;
+ private:
+  IndexService& service_;
 };
 
 /// Lookup behaviour configuration.
@@ -83,7 +103,11 @@ class LookupEngine {
  public:
   /// All references must outlive the engine.
   LookupEngine(IndexService& service, storage::DhtStore& store, LookupConfig config)
-      : service_(service), store_(store), config_(config) {}
+      : service_(service), store_(store), config_(config), immediate_(service) {}
+
+  // Not copyable: recorder_ may point at this engine's own immediate_.
+  LookupEngine(const LookupEngine&) = delete;
+  LookupEngine& operator=(const LookupEngine&) = delete;
 
   const LookupConfig& config() const { return config_; }
 
@@ -92,13 +116,12 @@ class LookupEngine {
   /// they want); otherwise the lookup fails cleanly with found == false.
   LookupOutcome resolve(const query::Query& initial, const query::Query& target_msd);
 
-  /// Attaches (or detaches, with nullptr) the record-don't-mutate hook.
-  /// While set, resolve() performs no cache mutation: hits, installs and
-  /// invalidations are reported to the recorder instead, and the caller is
-  /// responsible for replaying them (and for charging install traffic for
-  /// the deltas that actually create entries). Sequential callers never set
-  /// this; the sharded feed sets one per worker for its lookup sub-phase.
-  void set_cache_recorder(CacheDeltaRecorder* recorder) { recorder_ = recorder; }
+  /// Routes later cache deltas to `recorder` (nullptr: apply them at once).
+  /// The feed engine attaches one per worker for epochs longer than one
+  /// session, whose apply sub-phase replays them.
+  void set_cache_recorder(CacheDeltaRecorder* recorder) {
+    recorder_ = recorder != nullptr ? recorder : &immediate_;
+  }
 
   /// Failure bookkeeping for one exhaustive search. When branches of the
   /// index tree sat on unreachable nodes the result set is partial
@@ -147,7 +170,8 @@ class LookupEngine {
   IndexService& service_;
   storage::DhtStore& store_;
   LookupConfig config_;
-  CacheDeltaRecorder* recorder_ = nullptr;
+  ImmediateCacheApply immediate_;
+  CacheDeltaRecorder* recorder_ = &immediate_;
 };
 
 }  // namespace dhtidx::index

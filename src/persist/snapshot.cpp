@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "query/query.hpp"
 #include "xml/parser.hpp"
 #include "xml/writer.hpp"
@@ -76,11 +77,9 @@ LoadStats load_snapshot(std::string_view snapshot_xml, index::IndexService& serv
       record.kind = *kind;
       record.payload = item.text();
       if (const auto virtual_bytes = item.attribute("virtual-bytes")) {
-        try {
-          record.virtual_payload_bytes = std::stoull(*virtual_bytes);
-        } catch (const std::exception&) {
-          throw ParseError("malformed virtual-bytes: " + *virtual_bytes);
-        }
+        const auto bytes = parse_number<std::uint64_t>(*virtual_bytes);
+        if (!bytes) throw ParseError("malformed virtual-bytes: " + *virtual_bytes);
+        record.virtual_payload_bytes = *bytes;
       }
       // One <record> per stored copy, so the same record arrives once per
       // replica it was saved from: place it on the replicas that lack it.

@@ -1,6 +1,7 @@
 #include "sim/sharded.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <set>
@@ -29,16 +30,23 @@ using query::Query;
 /// interner's growth schedule — are identical for every S.
 constexpr std::size_t kBuildEpoch = 8192;
 
-/// Queries per bulk-synchronous feed epoch (caching policies only). The
-/// epoch length is observable semantics, not a tuning knob: a session can
-/// only hit shortcuts installed in *earlier* epochs (the lookup sub-phase
-/// reads a frozen snapshot), so changing this constant changes hit ratios.
-/// Like kBuildEpoch it must never depend on S or the machine — that is what
-/// keeps the sweep JSON bit-identical across --shards. Smaller epochs track
-/// the paper's fully sequential warm-up more closely; 1024 keeps the
-/// deviation below a percent at paper scale while leaving each worker
-/// hundreds of sessions of parallel work per barrier.
+/// Queries per feed epoch of a cached streaming world. Observable semantics,
+/// not a tuning knob: a session only hits shortcuts installed in *earlier*
+/// epochs, so this constant moves hit ratios (DESIGN.md section 15.2). Like
+/// kBuildEpoch it never depends on S or the machine. 1024 keeps the
+/// deviation from the sequential feed below a percent at paper scale while
+/// leaving each worker hundreds of sessions per barrier.
 constexpr std::size_t kFeedEpoch = 1024;
+
+/// Sessions per feed epoch, derived from the world: 1 for a materialized
+/// world (the paper's sequential feed), kFeedEpoch for a cached streaming
+/// one, and the whole feed for a cacheless one, whose sessions make no cache
+/// mutation.
+std::size_t feed_epoch(const SimulationConfig& config) {
+  if (!config.streaming) return 1;
+  if (!caching_enabled(config.policy)) return std::max<std::size_t>(config.queries, 1);
+  return kFeedEpoch;
+}
 
 constexpr std::uint32_t kNoPending = 0xFFFFFFFFu;
 
@@ -67,30 +75,19 @@ struct InternRequests {
   }
 
   /// Resolves `q` to either an already-pooled ref (read-only interner probe)
-  /// or a worker-local pending slot. The probe is safe concurrently: the
-  /// pool only grows in the serial intern sub-phase between parallel phases.
-  void resolve(const query::QueryInterner& interner, Query&& q, const Query*& ref,
+  /// or a worker-local pending slot, taking `q` (moved or copied) only when
+  /// it is new: an interned query flowing back through a recorded delta costs
+  /// one probe and no copy. The probe is safe concurrently: the pool only
+  /// grows in the serial intern sub-phase between parallel phases.
+  template <typename Q>
+  void resolve(const query::QueryInterner& interner, Q&& q, const Query*& ref,
                std::uint32_t& pending_slot) DHTIDX_REQUIRES(phase_) {
     if (const Query* existing = interner.find_existing(q)) {
       ref = existing;
       pending_slot = kNoPending;
       return;
     }
-    enqueue(std::move(q), ref, pending_slot);
-  }
-
-  /// resolve() without taking ownership: probes first and copies `q` only
-  /// when it is genuinely new — the common case (an interned query flowing
-  /// back through a recorded delta) costs one probe and zero copies.
-  void resolve_copy(const query::QueryInterner& interner, const Query& q,
-                    const Query*& ref, std::uint32_t& pending_slot)
-      DHTIDX_REQUIRES(phase_) {
-    if (const Query* existing = interner.find_existing(q)) {
-      ref = existing;
-      pending_slot = kNoPending;
-      return;
-    }
-    enqueue(Query{q}, ref, pending_slot);
+    enqueue(Query{std::forward<Q>(q)}, ref, pending_slot);
   }
 
   /// The serial intern sub-phase: the only writes the shared pool ever sees.
@@ -149,21 +146,15 @@ struct Op {
   std::uint32_t target_pending = kNoPending;
 };
 
-/// One recorded cache mutation of the caching feed, totally ordered by
+/// One recorded cache mutation of a deferred feed epoch, totally ordered by
 /// (vt, seq): vt is the global query index (disjoint across feed workers),
 /// seq the emission order within the session. Replaying a cache's deltas in
 /// this order reproduces the order a sequential pass over the epoch — serving
 /// every session against the same frozen snapshot — would have mutated it.
 struct CacheDelta {
-  enum class Kind : std::uint8_t {
-    kTouch,       ///< a hit promoted the entry to most recently used
-    kInstall,     ///< shortcut creation after a successful session
-    kInvalidate,  ///< a failed jump dropped the stale entry
-  };
-
   std::uint64_t vt = 0;
   std::uint32_t seq = 0;
-  Kind kind = Kind::kTouch;
+  index::CacheDeltaKind kind = index::CacheDeltaKind::kTouch;
   Id node;  ///< the node whose cache this delta applies to
   // Interned refs when the query was pooled at record time, else indices
   // into the recorder's epoch intern requests.
@@ -174,7 +165,7 @@ struct CacheDelta {
 };
 
 /// Node id -> owning shard: position in the sorted member list modulo S.
-/// Membership is fixed for the whole run (streaming mode forbids churn).
+/// Membership is fixed wherever deltas are queued (streaming forbids churn).
 class ShardMap {
  public:
   ShardMap(std::vector<Id> members, std::size_t shards)
@@ -218,15 +209,15 @@ struct Producer {
   }
 };
 
-/// Per-feed-worker epoch state: the record-don't-mutate hook attached to the
-/// worker's LookupEngine during the lookup sub-phase. Every intended cache
-/// mutation is tagged with the session's virtual time and binned by the
-/// owner shard of the node it applies to; queries not yet in the shared pool
-/// become intern requests, exactly like the build's publish operations.
+/// Per-feed-worker epoch state: the recorder a worker's LookupEngine reports
+/// to in epochs longer than one session. Every delta is tagged with the
+/// session's virtual time and binned by the owner shard of its node; queries
+/// not yet pooled become intern requests, like the build's publish ops.
 class FeedRecorder final : public index::CacheDeltaRecorder {
  public:
-  FeedRecorder(const query::QueryInterner& interner, const ShardMap& shard_map)
-      : interner_(interner), shard_map_(shard_map) {}
+  FeedRecorder(const query::QueryInterner& interner, const ShardMap& shard_map,
+               std::size_t shards)
+      : queues(shards), interner_(interner), shard_map_(shard_map) {}
 
   /// Phase capability over the epoch buffers: exclusive during the lookup
   /// sub-phase (worker-private) and the serial intern sub-phase; shared
@@ -236,12 +227,10 @@ class FeedRecorder final : public index::CacheDeltaRecorder {
   /// One queue per owner shard, (vt,seq)-sorted by construction.
   std::vector<std::vector<CacheDelta>> queues DHTIDX_GUARDED_BY(phase_);
 
-  void reset(std::size_t shards) DHTIDX_REQUIRES(phase_) {
+  void reset() DHTIDX_REQUIRES(phase_) {
     interns.phase_.assert_exclusive();  // same phase structure as the owner
     interns.reset();
-    queues.assign(shards, {});
-    vt_ = 0;
-    seq_ = 0;
+    for (std::vector<CacheDelta>& queue : queues) queue.clear();
   }
 
   /// Stamps the virtual time of the session about to run; deltas emitted
@@ -251,22 +240,8 @@ class FeedRecorder final : public index::CacheDeltaRecorder {
     seq_ = 0;
   }
 
-  void record_touch(const Id& node, const Query& source, const Query& target) override {
-    push(CacheDelta::Kind::kTouch, node, source, target);
-  }
-
-  void record_install(const Id& node, const Query& source, const Query& target) override {
-    push(CacheDelta::Kind::kInstall, node, source, target);
-  }
-
-  void record_invalidate(const Id& node, const Query& source,
-                         const Query& target) override {
-    push(CacheDelta::Kind::kInvalidate, node, source, target);
-  }
-
- private:
-  void push(CacheDelta::Kind kind, const Id& node, const Query& source,
-            const Query& target) {
+  void record(index::CacheDeltaKind kind, const Id& node, const Query& source,
+              const Query& target) override {
     phase_.assert_exclusive();  // lookup sub-phase: the worker is the sole owner
     interns.phase_.assert_exclusive();
     CacheDelta delta;
@@ -274,11 +249,12 @@ class FeedRecorder final : public index::CacheDeltaRecorder {
     delta.seq = seq_++;
     delta.kind = kind;
     delta.node = node;
-    interns.resolve_copy(interner_, source, delta.source, delta.source_pending);
-    interns.resolve_copy(interner_, target, delta.target, delta.target_pending);
+    interns.resolve(interner_, source, delta.source, delta.source_pending);
+    interns.resolve(interner_, target, delta.target, delta.target_pending);
     queues[shard_map_.shard_of(node)].push_back(delta);
   }
 
+ private:
   const query::QueryInterner& interner_;
   const ShardMap& shard_map_;
   std::uint64_t vt_ DHTIDX_GUARDED_BY(phase_) = 0;
@@ -342,10 +318,12 @@ void merge_by_virtual_time(const std::vector<const std::vector<T>*>& queues, Fn&
 }  // namespace
 
 void FeedTotals::fold(const index::LookupOutcome& outcome) {
+  ++sessions;
   interactions += static_cast<std::uint64_t>(outcome.interactions);
   generalizations += static_cast<std::uint64_t>(outcome.generalization_steps);
   if (!outcome.found) ++failed_lookups;
   if (outcome.non_indexed) ++non_indexed;
+  if (!outcome.found && !outcome.non_indexed) ++indexed_failures;
   if (outcome.cache_hit) {
     ++hits;
     if (outcome.cache_hit_position == 1) ++first_node_hits;
@@ -360,6 +338,8 @@ void FeedTotals::fold(const index::LookupOutcome& outcome) {
 }
 
 void FeedTotals::merge(const FeedTotals& other) {
+  sessions += other.sessions;
+  indexed_failures += other.indexed_failures;
   interactions += other.interactions;
   generalizations += other.generalizations;
   hits += other.hits;
@@ -494,134 +474,109 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
   }
 }
 
-FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
-                                index::IndexService& service,
-                                storage::DhtStore& store,
-                                const workload::StreamingWorkload& workload) {
+FeedTotals feed_world(const SimulationConfig& config, dht::Dht& dht,
+                      index::IndexService& service, storage::DhtStore& store,
+                      const RequestSource& request_at, const EpochEvents& at_epoch_start,
+                      std::size_t first, std::size_t last) {
   const std::size_t shards = std::max<std::size_t>(config.shards, 1);
+  const std::size_t epoch = feed_epoch(config);
+  // At epoch length 1 each engine's own ImmediateCacheApply applies a delta
+  // when the session reports it. Longer epochs read the caches as a frozen
+  // snapshot and replay the recorded deltas in the apply sub-phase.
+  const bool deferred = epoch > 1;
   // One FeedTotals per worker. Worker w owns accumulators[w] in every
   // parallel sub-phase (lookup and apply alike); the barriers between the
   // phases order all access.
   std::vector<FeedTotals> accumulators(shards);
+  const ShardMap shard_map{dht.node_ids(), shards};
+  query::QueryInterner& interner = service.interner();
+  std::vector<FeedRecorder> recorders;
+  recorders.reserve(shards);
+  std::deque<index::LookupEngine> engines;
+  for (std::size_t w = 0; w < shards; ++w) {
+    recorders.emplace_back(interner, shard_map, shards);
+    engines.emplace_back(service, store, index::LookupConfig{config.policy});
+    if (deferred) engines.back().set_cache_recorder(&recorders.back());
+  }
 
-  if (!caching_enabled(config.policy)) {
-    // Cacheless feed: sessions are read-only on all shared state, so one
-    // parallel pass over the whole feed suffices — no epochs, no barriers.
-    run_workers(shards, [&](std::size_t w) {
-      FeedTotals& acc = accumulators[w];
-      const net::ScopedLedgerOverride scope{&acc.ledger};
-      index::LookupEngine engine{service, store, {config.policy}};
-      for (std::size_t i = 0; i < config.queries; ++i) {
-        if (i % shards != w) continue;
-        const workload::StreamingRequest request = workload.request_at(i);
-        acc.fold(engine.resolve(request.query, request.target_msd));
-      }
-    });
-  } else {
-    // Caching feed: bulk-synchronous query epochs (DESIGN.md section 15).
-    // Sessions read the shortcut caches as a frozen snapshot and record
-    // their intended mutations; the apply sub-phase replays the deltas in
-    // (vt, seq) order, so every cache evolves in the exact order a
-    // sequential pass over the epochs would have produced — for every S,
-    // including S = 1.
-    const ShardMap shard_map{dht.node_ids(), shards};
-    query::QueryInterner& interner = service.interner();
-    std::vector<FeedRecorder> recorders;
-    recorders.reserve(shards);
-    for (std::size_t w = 0; w < shards; ++w) {
-      recorders.emplace_back(interner, shard_map);
+  // (lookup) -- worker w serves the epoch's sessions with index ≡ w (mod S),
+  // accounting traffic into its own ledger. Walked in increasing i, so each
+  // recorder queue is (vt, seq)-sorted by construction. Built once: at epoch
+  // length 1 it runs once per session.
+  std::size_t epoch_start = first;
+  std::size_t epoch_end = first;
+  const std::function<void(std::size_t)> lookup = [&](std::size_t w) {
+    FeedTotals& acc = accumulators[w];
+    const net::ScopedLedgerOverride scope{&acc.ledger};
+    FeedRecorder& recorder = recorders[w];
+    recorder.phase_.assert_exclusive();  // worker w is recorder w's sole owner
+    for (std::size_t i = epoch_start; i < epoch_end; ++i) {
+      if (i % shards != w) continue;
+      recorder.begin_session(i);
+      const workload::StreamingRequest request = request_at(i);
+      acc.fold(engines[w].resolve(request.query, request.target_msd));
+    }
+  };
+
+  for (; epoch_start < last; epoch_start = epoch_end) {
+    epoch_end = std::min(last, epoch_start + epoch);
+    if (at_epoch_start) at_epoch_start(epoch_start);
+    run_workers(shards, lookup);
+    if (!deferred) continue;
+
+    // (intern) -- resolve the epoch's new queries against the shared pool,
+    // serialized on the calling thread.
+    for (FeedRecorder& recorder : recorders) {
+      recorder.phase_.assert_exclusive();  // serial sub-phase: the caller is alone
+      recorder.interns.phase_.assert_exclusive();
+      recorder.interns.intern_all(interner);
     }
 
-    for (std::size_t epoch_start = 0; epoch_start < config.queries;
-         epoch_start += kFeedEpoch) {
-      const std::size_t epoch_end =
-          std::min(config.queries, epoch_start + kFeedEpoch);
-      for (FeedRecorder& recorder : recorders) {
-        recorder.phase_.assert_exclusive();  // between epochs: no workers running
-        recorder.reset(shards);
+    // (apply) -- worker t merges the delta queues addressed to its shard by
+    // (vt, seq) and applies them to the caches it owns through
+    // apply_cache_delta, the rule an immediate apply uses. Install traffic
+    // lands in the applier's own ledger.
+    run_workers(shards, [&](std::size_t t) {
+      const net::ScopedLedgerOverride scope{&accumulators[t].ledger};
+      std::vector<const std::vector<CacheDelta>*> queues;
+      queues.reserve(shards);
+      for (std::size_t p = 0; p < shards; ++p) {
+        recorders[p].phase_.assert_shared();  // apply sub-phase: buffers frozen
+        queues.push_back(&recorders[p].queues[t]);
       }
-
-      // (lookup) -- worker w serves the sessions with index ≡ w (mod S)
-      // read-only, recording cache deltas. Walked in increasing i, so each
-      // queue is (vt, seq)-sorted by construction.
-      run_workers(shards, [&](std::size_t w) {
-        FeedTotals& acc = accumulators[w];
-        const net::ScopedLedgerOverride scope{&acc.ledger};
-        FeedRecorder& recorder = recorders[w];
-        recorder.phase_.assert_exclusive();  // worker w is recorder w's sole owner
-        index::LookupEngine engine{service, store, {config.policy}};
-        engine.set_cache_recorder(&recorder);
-        for (std::size_t i = epoch_start; i < epoch_end; ++i) {
-          if (i % shards != w) continue;
-          recorder.begin_session(i);
-          const workload::StreamingRequest request = workload.request_at(i);
-          acc.fold(engine.resolve(request.query, request.target_msd));
+      merge_by_virtual_time<CacheDelta>(queues, [&](std::size_t p,
+                                                    const CacheDelta& delta) {
+        const FeedRecorder& recorder = recorders[p];
+        recorder.phase_.assert_shared();  // read-only rights, shared with peers
+        recorder.interns.phase_.assert_shared();
+        index::IndexNodeState* state = service.find_state(delta.node);
+        if (state == nullptr) {
+          throw InvariantError("cache delta for a node with no index partition");
         }
+        index::apply_cache_delta(service, delta.node, *state, delta.kind,
+                                 recorder.interns.ref_of(delta.source, delta.source_pending),
+                                 recorder.interns.ref_of(delta.target, delta.target_pending));
       });
-
-      // (intern) -- resolve the epoch's new queries against the shared pool,
-      // serialized in the driver.
-      for (FeedRecorder& recorder : recorders) {
-        recorder.phase_.assert_exclusive();  // serial sub-phase: driver is alone
-        recorder.interns.phase_.assert_exclusive();
-        recorder.interns.intern_all(interner);
-      }
-
-      // (apply) -- worker t merges the delta queues addressed to its shard
-      // by (vt, seq) and replays them against the caches it owns. Install
-      // traffic is charged here, exactly when an insert creates an entry
-      // (the sequential rule), into the applier's own ledger.
-      run_workers(shards, [&](std::size_t t) {
-        const net::ScopedLedgerOverride scope{&accumulators[t].ledger};
-        net::TrafficLedger& ledger = net::active(service.ledger());
-        std::vector<const std::vector<CacheDelta>*> queues;
-        queues.reserve(shards);
-        for (std::size_t p = 0; p < shards; ++p) {
-          recorders[p].phase_.assert_shared();  // apply sub-phase: buffers frozen
-          queues.push_back(&recorders[p].queues[t]);
-        }
-        merge_by_virtual_time<CacheDelta>(queues, [&](std::size_t p,
-                                                      const CacheDelta& delta) {
-          const FeedRecorder& recorder = recorders[p];
-          recorder.phase_.assert_shared();  // read-only rights, shared with peers
-          recorder.interns.phase_.assert_shared();
-          const Query* source = recorder.interns.ref_of(delta.source, delta.source_pending);
-          const Query* target = recorder.interns.ref_of(delta.target, delta.target_pending);
-          index::IndexNodeState* state = service.find_state(delta.node);
-          if (state == nullptr) {
-            throw InvariantError(
-                "sharded feed: cache delta addressed to a node with no index "
-                "partition (build pre-creates every partition)");
-          }
-          index::ShortcutCache& cache = state->cache();
-          switch (delta.kind) {
-            case CacheDelta::Kind::kTouch:
-              // The entry was present in the snapshot; an earlier delta of
-              // this epoch may have evicted or invalidated it, in which case
-              // the touch is a no-op — same as the sequential replay.
-              cache.touch_interned(source, target);
-              break;
-            case CacheDelta::Kind::kInstall:
-              if (cache.insert_interned(source, target)) {
-                ledger.cache.record(source->byte_size() + target->byte_size() +
-                                    net::kMessageOverheadBytes);
-              }
-              break;
-            case CacheDelta::Kind::kInvalidate:
-              // Idempotent: two sessions of one epoch may have jumped on the
-              // same stale entry; the second erase finds nothing. The
-              // invalidation notice was charged at record time.
-              cache.erase_interned(source, target);
-              break;
-          }
-        });
-      });
+    });
+    for (FeedRecorder& recorder : recorders) {
+      recorder.phase_.assert_exclusive();  // between epochs: no workers running
+      recorder.reset();
     }
   }
 
   FeedTotals totals;
   for (const FeedTotals& acc : accumulators) totals.merge(acc);
   return totals;
+}
+
+FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
+                                index::IndexService& service,
+                                storage::DhtStore& store,
+                                const workload::StreamingWorkload& workload) {
+  return feed_world(
+      config, dht, service, store,
+      [&workload](std::size_t i) { return workload.request_at(i); }, {}, 0,
+      config.queries);
 }
 
 }  // namespace dhtidx::sim

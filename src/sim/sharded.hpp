@@ -1,65 +1,43 @@
-// Streaming world source and its shard-concurrent feed (ROADMAP item 1: the
-// paper's world at 100x scale on one machine).
+// Streaming world source and the one feed engine (DESIGN.md sections 12 and
+// 15 have the full rules).
 //
-// sim::run_simulation is the one simulation driver. It takes its world from
-// one of two sources -- a materialized biblio::Corpus indexed through
-// IndexBuilder, or the streaming source below -- runs the matching feed, and
-// fills SimulationResults from one collector. This header is the streaming
-// half: build_streaming_world and feed_streaming_world, plus FeedTotals, the
-// fold every feed (sequential or sharded) sums its session outcomes into.
+// sim::run_simulation is the one simulation entry point: it builds a
+// materialized biblio::Corpus through IndexBuilder or a streaming world
+// through build_streaming_world, feeds either through feed_world, and fills
+// SimulationResults from the FeedTotals the engine returns.
 //
-// A streaming cell never materializes its workload: articles come from
-// biblio::ArticleStream and queries from workload::StreamingWorkload, both
-// counter-addressable (item i is a pure function of (config, i)), so peak RSS
-// scales with live index state, not workload size. That counter addressing is
-// also what makes sharding sound: any partition of the item space across S
-// workers generates the same items.
+// A streaming world never materializes its workload: articles and queries
+// are counter-addressable (item i is a pure function of (config, i)), so peak
+// RSS scales with live index state and any partition of the items across S
+// workers generates the same items. One IndexService, DhtStore and Ring are
+// shared; a shard owns the node ids at its position in the sorted member
+// list modulo S, and only the owner mutates a node's state.
 //
-// Execution model (DESIGN.md sections 12 and 15 have the full rules):
+//  - Build = bulk-synchronous epochs of articles: (produce) S workers emit
+//    (vt = article index, seq)-tagged operations into per-(producer,
+//    owner-shard) queues; (intern) the calling thread interns the epoch's
+//    new queries, the only writes the shared interner sees; (apply) each
+//    worker merges its shard's queues by (vt, seq) -- the sequential build's
+//    total order, so results are bit-identical for every S.
+//  - Feed = the same pattern in epochs of queries, whose length the world
+//    sets: 1 for a materialized world, kFeedEpoch (1,024) for a cached
+//    streaming world, the whole feed for a cacheless one. The world's events
+//    (churn and chaos) fire at epoch starts. (lookup) S workers serve their
+//    sessions into private ledgers. At epoch length 1 each cache delta is
+//    applied when its session reports it, the paper's sequential feed.
+//    Longer epochs read the caches as a frozen snapshot and record
+//    (vt = query index, seq)-tagged deltas; (intern) as in the build;
+//    (apply) each worker merges its shard's deltas by (vt, seq) through
+//    index::apply_cache_delta, the rule an immediate apply uses. Results are
+//    bit-identical for every S, including S = 1.
 //
-//  - One shared world. The IndexService (with its query interner), the
-//    DhtStore and the Ring are process-global — per-shard slices would break
-//    `const Query*` identity, the invariant the whole PR 5 hot path rests on.
-//    A shard owns a partition of the *node ids* (position in the sorted
-//    member list modulo S); only the owner ever mutates a node's index
-//    partition, record store or shortcut cache.
-//  - Build = bulk-synchronous epochs. Each epoch of articles runs three
-//    sub-phases: (produce) S workers synthesize their articles, compute
-//    records, scheme mappings and replica placements, and emit operations
-//    into per-(producer, owner-shard) queues tagged with (virtual time = the
-//    global article index, seq = emission order within the article);
-//    (intern) the driver serially interns the epoch's new queries — the only
-//    writes the shared interner ever sees; (apply) S workers each merge the
-//    queues addressed to their shard by (vt, seq) and apply the operations to
-//    the nodes they own. vt values are disjoint across producers, so the
-//    merged order is a total order identical to the sequential build's — the
-//    results are bit-identical for every S.
-//  - Cacheless feed = embarrassingly parallel sessions. CachePolicy::kNone
-//    sessions are read-only on all shared state; each worker runs the
-//    sessions with index ≡ worker (mod S), accounts traffic into a private
-//    ledger through net::ScopedLedgerOverride, and the driver folds the
-//    integer accumulators — order-independent, so again bit-identical across
-//    S.
-//  - Caching feed = bulk-synchronous query epochs, the build pattern one
-//    level up (DESIGN.md section 15). Each epoch of queries runs (lookup) S
-//    workers serving their session slice read-only against the frozen
-//    shortcut caches, with every intended cache mutation recorded as a
-//    (vt = query index, seq)-tagged delta in per-(worker, owner-shard)
-//    queues; (intern) the driver serially interns queries the deltas
-//    reference that the pool has not seen; (apply) S workers each merge the
-//    delta queues addressed to their shard by (vt, seq) and replay them
-//    against the caches they own. MRU order, LRU evictions, hit ratios and
-//    install traffic follow the same total order for every S — bit-identical
-//    across shard counts, including S = 1 (which runs the identical epoch
-//    code inline).
-//
-// Restrictions, checked by run_simulation (InvariantError otherwise): Ring
-// substrate, in-process transport (no wire layer: sharded sessions run on
-// several threads, and MessageBus is single-threaded), no churn or chaos, no
-// shared corpus; shards > 1 additionally requires a streaming world.
+// run_simulation rejects (InvariantError) a streaming world with a non-Ring
+// substrate, a wire layer (MessageBus is single-threaded), churn, chaos or a
+// shared corpus, and shards > 1 without a streaming world.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 
 #include "biblio/stream.hpp"
@@ -81,10 +59,9 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                            const biblio::ArticleStream& stream);
 
 /// Aggregated feed-phase measurements. The only place session outcomes are
-/// summed: the sequential feed folds each outcome here, every sharded feed
-/// worker folds into its own FeedTotals, and the workers are merged after the
-/// final barrier. Integer sums throughout, so merging in any order reproduces
-/// a one-worker feed bit for bit.
+/// summed: every feed worker folds each outcome into its own FeedTotals, and
+/// the workers are merged after the final barrier. Integer sums throughout,
+/// so merging in any order reproduces a one-worker feed bit for bit.
 struct FeedTotals {
   std::uint64_t interactions = 0;
   std::uint64_t generalizations = 0;
@@ -97,6 +74,8 @@ struct FeedTotals {
   std::size_t gave_up = 0;
   std::size_t unreachable = 0;
   std::size_t stale_shortcuts = 0;
+  std::size_t sessions = 0;
+  std::size_t indexed_failures = 0;  ///< failed sessions whose entry query was indexed
   /// Unique-node touch counts per session, summed; iterated in sorted Id
   /// order when the driver derives node_load_fractions.
   // dhtidx-lint: allow(hot-path-map) "merged once per feed, never touched per query; sorted iteration drives deterministic load fractions"
@@ -109,11 +88,25 @@ struct FeedTotals {
   void merge(const FeedTotals& other);
 };
 
-/// Runs the query feed over an already-built streaming world with
-/// config.shards workers: one read-only parallel pass for cacheless
-/// policies, bulk-synchronous lookup/intern/apply query epochs for caching
-/// policies. Exposed so tests can audit the cache state of a sharded cached
-/// world directly (run_simulation composes build + feed).
+/// Session i's request. The engine asks for each session once, and at epoch
+/// length 1 in increasing i, so a sequential generator may ignore the index.
+using RequestSource = std::function<workload::StreamingRequest(std::size_t)>;
+
+/// The world's events, fired before each epoch with the index of its first
+/// session: a materialized world's churn and chaos schedule.
+using EpochEvents = std::function<void(std::size_t)>;
+
+/// The one feed engine: runs sessions [first, last) of a built world in
+/// epochs whose length the world sets (see the header comment) with
+/// config.shards workers, and returns their totals.
+FeedTotals feed_world(const SimulationConfig& config, dht::Dht& dht,
+                      index::IndexService& service, storage::DhtStore& store,
+                      const RequestSource& request_at, const EpochEvents& at_epoch_start,
+                      std::size_t first, std::size_t last);
+
+/// feed_world over a whole streaming workload with no events. Exposed so
+/// tests can audit the cache state of a sharded cached world directly
+/// (run_simulation composes build + feed). config.streaming must be set.
 FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                                 index::IndexService& service,
                                 storage::DhtStore& store,

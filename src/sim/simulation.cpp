@@ -86,6 +86,23 @@ struct Overlay {
   std::optional<dht::PastryNetwork> pastry;
 };
 
+/// A deterministic sample of `fraction` of the members, drawn from `seed`:
+/// the nodes a churn crash or a chaos partition hits.
+std::vector<Id> sample_nodes(const dht::Dht& dht, std::uint64_t seed, double fraction) {
+  Rng rng{seed};
+  std::vector<Id> members = dht.node_ids();
+  std::sort(members.begin(), members.end());
+  const auto count =
+      static_cast<std::size_t>(fraction * static_cast<double>(members.size()));
+  std::vector<Id> sample;
+  for (std::size_t k = 0; k < count && !members.empty(); ++k) {
+    const std::size_t pick = rng.next_index(members.size());
+    sample.push_back(members[pick]);
+    members.erase(members.begin() + static_cast<std::ptrdiff_t>(pick));
+  }
+  return sample;
+}
+
 /// Every configuration the driver rejects, checked before anything is built.
 void check_config(const SimulationConfig& config, const biblio::Corpus* shared_corpus) {
   if (config.chaos.enabled()) {
@@ -208,7 +225,6 @@ SimulationResults run_simulation(const SimulationConfig& config,
   if (net::TrafficStats* routing = overlay.routing_stats()) routing->reset();
 
   // --- run the query feed ---------------------------------------------------
-  index::LookupEngine engine{service, store, {config.policy}};
   workload::PopularityModel popularity{articles, config.popularity_c,
                                        config.popularity_alpha};
   workload::StructureModel structure =
@@ -222,19 +238,38 @@ SimulationResults run_simulation(const SimulationConfig& config,
   r.nodes = config.nodes;
   r.articles = articles;
   r.queries = config.queries;
-  FeedTotals feed;
 
-  // --- churn schedule --------------------------------------------------------
+  // The feed's requests: counter-addressed from the stream, or drawn in
+  // order from the generator (a materialized world feeds at epoch length 1,
+  // so the engine asks in order).
+  std::optional<workload::StreamingWorkload> streaming_workload;
+  std::optional<workload::QueryGenerator> generator;
+  RequestSource request_at;
+  if (stream) {
+    streaming_workload.emplace(*stream, std::move(popularity), std::move(structure),
+                               config.seed);
+    request_at = [&](std::size_t i) { return streaming_workload->request_at(i); };
+  } else {
+    generator.emplace(*corpus, std::move(popularity), std::move(structure), config.seed);
+    request_at = [&](std::size_t) {
+      workload::Request request = generator->next();
+      return workload::StreamingRequest{request.article_index, request.structure,
+                                        std::move(request.query),
+                                        corpus->article(request.article_index).msd()};
+    };
+  }
+
+  // --- churn and chaos schedule: events at epoch starts ----------------------
+  // A materialized world starts an epoch before every session, so each event
+  // fires before the first session at or past its point.
   const bool churn_enabled = config.churn.enabled();
   const std::size_t crash_at =
-      churn_enabled ? static_cast<std::size_t>(static_cast<double>(config.queries) *
-                                               config.churn.crash_point)
+      churn_enabled ? std::min(config.queries,
+                               static_cast<std::size_t>(static_cast<double>(config.queries) *
+                                                        config.churn.crash_point))
                     : config.queries;
   bool churned = false;
   std::vector<Id> crashed_ids;
-  std::uint64_t post_churn_interactions = 0;
-
-  // --- chaos schedule --------------------------------------------------------
   const std::size_t chaos_start_at =
       chaos_enabled ? static_cast<std::size_t>(static_cast<double>(config.queries) *
                                                config.chaos.start_point)
@@ -248,120 +283,83 @@ SimulationResults run_simulation(const SimulationConfig& config,
   bool chaos_started = false;
   bool chaos_healed = false;
   double heal_clock_ms = 0.0;
-  const auto feed_start = std::chrono::steady_clock::now();
+  const auto heal = [&] {
+    injector->clear_profile();
+    injector->heal();
+    chaos_healed = true;
+    heal_clock_ms = event_queue->clock_ms();
+  };
   const auto republish_all = [&](std::uint64_t now) {
     for (const biblio::Article& article : corpus->articles()) {
       const std::string name = article.file_name();
       builder.republish(article.descriptor(), now, &name, article.file_bytes);
     }
   };
-
-  if (stream) {
-    const workload::StreamingWorkload workload{*stream, std::move(popularity),
-                                               std::move(structure), config.seed};
-    feed = feed_streaming_world(config, ring, service, store, workload);
-  } else {
-    workload::QueryGenerator generator{*corpus, std::move(popularity), std::move(structure),
-                                       config.seed};
-    for (std::size_t i = 0; i < config.queries; ++i) {
-      if (churn_enabled && !churned && i >= crash_at) {
-        // Crash a deterministic sample of nodes: their disks (index partition
-        // and record store) are gone and RPCs to them fail. Ring membership is
-        // left untouched -- the failures are undetected by the substrate, which
-        // is exactly what replica failover has to survive.
-        Rng churn_rng{config.seed ^ 0x0c11a05ull};
-        std::vector<Id> members = ring.node_ids();
-        std::sort(members.begin(), members.end());
-        const std::size_t to_crash = static_cast<std::size_t>(
-            config.churn.crash_fraction * static_cast<double>(members.size()));
-        for (std::size_t k = 0; k < to_crash && !members.empty(); ++k) {
-          const std::size_t pick = churn_rng.next_index(members.size());
-          const Id victim = members[pick];
-          members.erase(members.begin() + static_cast<std::ptrdiff_t>(pick));
-          injector->crash(victim);
-          r.mappings_lost += service.drop_node(victim);
-          r.records_lost += store.drop_node(victim);
-          crashed_ids.push_back(victim);
-        }
-        r.crashed_nodes = crashed_ids.size();
-        for (std::size_t j = 0; j < config.churn.joins; ++j) {
-          overlay.ring->add(Id::hash("joined-" + std::to_string(j)));
-        }
-        r.joined_nodes = config.churn.joins;
-        injector->set_drop_probability(config.churn.drop_probability);
-        churned = true;
+  const auto at_epoch_start = [&](std::size_t i) {
+    if (churn_enabled && !churned && i >= crash_at) {
+      // Crash a deterministic sample of nodes: their disks (index partition
+      // and record store) are gone and RPCs to them fail. Ring membership is
+      // left untouched -- the failures are undetected by the substrate, which
+      // is exactly what replica failover has to survive.
+      for (const Id& victim :
+           sample_nodes(ring, config.seed ^ 0x0c11a05ull, config.churn.crash_fraction)) {
+        injector->crash(victim);
+        r.mappings_lost += service.drop_node(victim);
+        r.records_lost += store.drop_node(victim);
+        crashed_ids.push_back(victim);
       }
-      if (churned && config.churn.republish_interval != 0 && i > crash_at &&
-          (i - crash_at) % config.churn.republish_interval == 0) {
-        // Publisher soft-state refresh: re-announce records and mappings so
-        // copies lost in the crash are re-created on the surviving replicas.
-        republish_all(i);
-        ++r.republish_rounds;
+      r.crashed_nodes = crashed_ids.size();
+      for (std::size_t j = 0; j < config.churn.joins; ++j) {
+        overlay.ring->add(Id::hash("joined-" + std::to_string(j)));
       }
-      if (chaos_enabled && !chaos_started && i >= chaos_start_at) {
-        // The adversary wakes up: frames start suffering seeded faults and a
-        // deterministic node sample is cut off behind an asymmetric partition.
-        // Unlike a crash, partitioned nodes keep their disks — the interesting
-        // failure mode is the stale state they host until the heal.
-        net::ChaosProfile profile;
-        profile.drop_probability = config.chaos.drop_probability;
-        profile.corrupt_probability = config.chaos.corrupt_probability;
-        profile.duplicate_probability = config.chaos.duplicate_probability;
-        profile.delay_probability = config.chaos.delay_probability;
-        profile.delay_ms = config.chaos.delay_ms;
-        profile.reorder_probability = config.chaos.reorder_probability;
-        profile.reorder_window_ms = config.chaos.reorder_window_ms;
-        injector->set_profile(profile);
-        if (config.chaos.partition_fraction > 0.0) {
-          Rng partition_rng{config.seed ^ 0x9a2717ull};
-          std::vector<Id> members = ring.node_ids();
-          std::sort(members.begin(), members.end());
-          const std::size_t to_isolate = static_cast<std::size_t>(
-              config.chaos.partition_fraction * static_cast<double>(members.size()));
-          std::vector<Id> victims;
-          victims.reserve(to_isolate);
-          for (std::size_t k = 0; k < to_isolate && !members.empty(); ++k) {
-            const std::size_t pick = partition_rng.next_index(members.size());
-            victims.push_back(members[pick]);
-            members.erase(members.begin() + static_cast<std::ptrdiff_t>(pick));
-          }
-          injector->install_partition(victims);
-          r.partitioned_nodes = victims.size();
-        }
-        chaos_started = true;
-      }
-      if (chaos_started && !chaos_healed && i >= chaos_heal_at) {
-        injector->clear_profile();
-        injector->heal();
-        chaos_healed = true;
-        heal_clock_ms = event_queue->clock_ms();
-      }
-
-      const workload::Request request = generator.next();
-      const query::Query target = corpus->article(request.article_index).msd();
-      const index::LookupOutcome outcome = engine.resolve(request.query, target);
-
-      feed.fold(outcome);
-      if (churned) {
-        ++r.sessions_after_churn;
-        post_churn_interactions += static_cast<std::uint64_t>(outcome.interactions);
-        if (!outcome.found) ++r.failed_after_churn;
-        if (!outcome.non_indexed) {
-          ++r.indexed_sessions_after_churn;
-          if (!outcome.found) ++r.indexed_failed_after_churn;
-        }
-      }
+      r.joined_nodes = config.churn.joins;
+      injector->set_drop_probability(config.churn.drop_probability);
+      churned = true;
     }
-  }
+    if (churned && config.churn.republish_interval != 0 && i > crash_at &&
+        (i - crash_at) % config.churn.republish_interval == 0) {
+      // Publisher soft-state refresh: re-announce records and mappings so
+      // copies lost in the crash are re-created on the surviving replicas.
+      republish_all(i);
+      ++r.republish_rounds;
+    }
+    if (chaos_enabled && !chaos_started && i >= chaos_start_at) {
+      // The adversary wakes up: frames start suffering seeded faults and a
+      // deterministic node sample is cut off behind an asymmetric partition.
+      // Unlike a crash, partitioned nodes keep their disks — the interesting
+      // failure mode is the stale state they host until the heal.
+      net::ChaosProfile profile;
+      profile.drop_probability = config.chaos.drop_probability;
+      profile.corrupt_probability = config.chaos.corrupt_probability;
+      profile.duplicate_probability = config.chaos.duplicate_probability;
+      profile.delay_probability = config.chaos.delay_probability;
+      profile.delay_ms = config.chaos.delay_ms;
+      profile.reorder_probability = config.chaos.reorder_probability;
+      profile.reorder_window_ms = config.chaos.reorder_window_ms;
+      injector->set_profile(profile);
+      if (config.chaos.partition_fraction > 0.0) {
+        const std::vector<Id> victims =
+            sample_nodes(ring, config.seed ^ 0x9a2717ull, config.chaos.partition_fraction);
+        injector->install_partition(victims);
+        r.partitioned_nodes = victims.size();
+      }
+      chaos_started = true;
+    }
+    if (chaos_started && !chaos_healed && i >= chaos_heal_at) heal();
+  };
+
+  // Sessions before the crash point, then the ones from it on: the second
+  // totals are the post-churn counters.
+  const auto feed_start = std::chrono::steady_clock::now();
+  FeedTotals feed =
+      feed_world(config, ring, service, store, request_at, at_epoch_start, 0, crash_at);
+  const FeedTotals after_churn = feed_world(config, ring, service, store, request_at,
+                                            at_epoch_start, crash_at, config.queries);
+  feed.merge(after_churn);
 
   // Short feeds (or heal_point >= 1.0) can end before the scheduled heal;
   // force it so metrics and the post-run audit always see a healed network.
-  if (chaos_started && !chaos_healed) {
-    injector->clear_profile();
-    injector->heal();
-    chaos_healed = true;
-    heal_clock_ms = event_queue->clock_ms();
-  }
+  if (chaos_started && !chaos_healed) heal();
 
   // --- collect metrics -------------------------------------------------------
   r.build_wall_s = build_wall_s;
@@ -374,8 +372,8 @@ SimulationResults run_simulation(const SimulationConfig& config,
   r.gave_up_sessions = feed.gave_up;
   r.unreachable_sessions = feed.unreachable;
   r.stale_shortcut_invalidations = feed.stale_shortcuts;
-  // The sequential feed charges `ledger` directly; sharded workers charge
-  // their own ledgers, which FeedTotals carries back.
+  // Feed workers charge their own ledgers, which FeedTotals carries back;
+  // epoch-start events charge `ledger` directly.
   ledger.merge(feed.ledger);
   const double n_queries = static_cast<double>(config.queries);
   r.avg_interactions = static_cast<double>(feed.interactions) / n_queries;
@@ -404,13 +402,17 @@ SimulationResults run_simulation(const SimulationConfig& config,
     r.event_clock_ms = event_queue->clock_ms();
   }
 
-  // Availability under churn.
+  // Availability under churn, over the sessions from the crash point on.
   r.replication = config.replication;
   r.retry_backoff_ms = service.retry_backoff_ms();
+  r.sessions_after_churn = after_churn.sessions;
+  r.failed_after_churn = after_churn.failed_lookups;
+  r.indexed_sessions_after_churn = after_churn.sessions - after_churn.non_indexed;
+  r.indexed_failed_after_churn = after_churn.indexed_failures;
   if (r.sessions_after_churn > 0) {
     const double sessions = static_cast<double>(r.sessions_after_churn);
     r.post_churn_success = 1.0 - static_cast<double>(r.failed_after_churn) / sessions;
-    r.avg_interactions_after_churn = static_cast<double>(post_churn_interactions) / sessions;
+    r.avg_interactions_after_churn = static_cast<double>(after_churn.interactions) / sessions;
   }
   if (r.indexed_sessions_after_churn > 0) {
     r.post_churn_indexed_success =
@@ -486,7 +488,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
     r.repair_moves += store.rebalance();
     r.repair_moves += service.rebalance();
     republish_all(config.queries);
-    engine.purge_stale_shortcuts();
+    index::LookupEngine{service, store, {config.policy}}.purge_stale_shortcuts();
     if (bus) bus->sync();  // flush republish frames before the world is torn down
   }
 

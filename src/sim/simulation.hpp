@@ -8,10 +8,10 @@
 // run_simulation is the one simulation driver. It checks the config once,
 // builds the world from one of two sources -- a materialized Corpus indexed
 // through IndexBuilder, or the streaming ArticleStream built by
-// build_streaming_world (sim/sharded.hpp) -- runs the matching feed (the
-// sequential loop with its churn and chaos schedules, or
-// feed_streaming_world), and fills SimulationResults, every metric of
-// Figures 11-15 and Table I, from one collector over the feed's FeedTotals.
+// build_streaming_world -- feeds it through the one feed engine, feed_world
+// (sim/sharded.hpp), with the churn and chaos schedule as events at epoch
+// starts, and fills SimulationResults, every metric of Figures 11-15 and
+// Table I, from the FeedTotals the engine returns.
 #pragma once
 
 #include <optional>
@@ -121,23 +121,17 @@ struct SimulationConfig {
   /// Streaming world: articles and queries are synthesized on demand from
   /// counter-seeded RNG streams (biblio::ArticleStream +
   /// workload::StreamingWorkload) instead of materialized vectors, so peak
-  /// RSS scales with live index state rather than workload size. Streaming
-  /// runs require the Ring substrate, the in-process transport and no churn
-  /// (see sim/sharded.hpp for why). The streamed corpus differs from
-  /// Corpus::generate's draw sequence, so streaming cells are a separate
-  /// golden universe from the paper-scale materialized cells.
+  /// RSS scales with live index state rather than workload size. Requires
+  /// the Ring substrate, the in-process transport and no churn
+  /// (sim/sharded.hpp). The streamed corpus differs from Corpus::generate's
+  /// draws, so streaming cells are a separate golden universe.
   bool streaming = false;
 
-  /// Shard-concurrent execution of a streaming world: node ids are
-  /// partitioned across `shards` worker threads; articles and feed sessions
-  /// are partitioned round-robin; cross-shard build operations — and, for
-  /// caching policies, the feed's recorded shortcut-cache deltas — travel
-  /// through per-(worker, owner-shard) queues drained in (virtual-time, seq)
-  /// order. Results are bit-identical across shard counts (the --jobs
-  /// guarantee, one level deeper); caching feeds run in bulk-synchronous
-  /// query epochs for every shard count, including 1 (sim/sharded.hpp).
-  /// 0 or 1 = single-threaded. Values > 1 additionally require
-  /// streaming = true.
+  /// Worker threads of a streaming world's build and feed: node ids are
+  /// partitioned across shards and cross-shard effects travel through
+  /// queues merged in (virtual-time, seq) order (sim/sharded.hpp), so
+  /// results are bit-identical across shard counts. 0 or 1 =
+  /// single-threaded; > 1 requires streaming = true.
   std::size_t shards = 1;
 };
 

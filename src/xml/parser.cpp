@@ -205,14 +205,14 @@ std::string decode_entities(std::string_view text) {
     } else if (entity == "quot") {
       out.push_back('"');
     } else if (!entity.empty() && entity[0] == '#') {
-      unsigned long code = 0;
       const bool hex = entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X');
-      try {
-        code = hex ? std::stoul(std::string{entity.substr(2)}, nullptr, 16)
-                   : std::stoul(std::string{entity.substr(1)}, nullptr, 10);
-      } catch (const std::exception&) {
+      const std::optional<std::uint32_t> parsed =
+          hex ? parse_number<std::uint32_t>(entity.substr(2), 16)
+              : parse_number<std::uint32_t>(entity.substr(1));
+      if (!parsed) {
         throw ParseError("malformed character reference &" + std::string{entity} + ";");
       }
+      const std::uint32_t code = *parsed;
       if (code == 0 || code > 0x10FFFF) {
         throw ParseError("character reference out of range");
       }

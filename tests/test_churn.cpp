@@ -10,6 +10,8 @@
 #include "dht/ring.hpp"
 #include "index/builder.hpp"
 #include "index/lookup.hpp"
+#include "net/bus.hpp"
+#include "net/transport.hpp"
 #include "sim/simulation.hpp"
 
 namespace dhtidx {
@@ -299,19 +301,88 @@ TEST(ChurnLookup, PurgeStaleShortcutsDropsEntriesForLostRecords) {
   EXPECT_EQ(stack.engine.purge_stale_shortcuts(), 0u);
 }
 
+/// Records every frame sent, in send order.
+class RecordingTransport : public net::EventQueueTransport {
+ public:
+  std::uint64_t send(const net::Message& message) override {
+    sent.push_back(message);
+    return EventQueueTransport::send(message);
+  }
+  std::vector<net::Message> sent;
+};
+
+TEST(ChurnLookup, InvalidatedShortcutIsGoneForTheRestOfItsSession) {
+  // After a failed jump the session walks on from the jump origin, and the
+  // origin serves that re-contact from its live cache. So the invalidation
+  // must erase the entry at once: once the kNotFound shortcut notice is
+  // sent, no response from the origin may list the MSD. Deferring the erase
+  // to the end of the session would list it again.
+  FaultyStack stack{/*replication=*/1, index::CachePolicy::kSingle, 15, 25};
+  RecordingTransport transport;
+  net::MessageBus bus{transport};
+  stack.service.set_bus(&bus);
+  stack.store.set_bus(&bus);
+
+  // An article whose entry node hosts neither the next hop nor the file, so
+  // every response from the entry node answers the entry query.
+  const biblio::Article* article = nullptr;
+  Id entry;
+  Id storage_node;
+  for (const auto& a : stack.corpus->articles()) {
+    entry = stack.ring.lookup(a.author_query().key()).node;
+    storage_node = stack.ring.lookup(a.msd().key()).node;
+    if (entry != storage_node && entry != stack.ring.lookup(a.author_title_query().key()).node) {
+      article = &a;
+      break;
+    }
+  }
+  ASSERT_NE(article, nullptr);
+
+  // Stage the stale shortcut: the first session installs it at the entry
+  // node, the second jumps through it, and the third finds its file missing
+  // for exactly one retry budget.
+  ASSERT_TRUE(stack.engine.resolve(article->author_query(), article->msd()).found);
+  ASSERT_TRUE(stack.engine.resolve(article->author_query(), article->msd()).cache_hit);
+  bus.sync();
+  transport.sent.clear();
+  stack.injector.fail_next(storage_node, stack.service.retry_policy().attempts_per_replica);
+  const index::LookupOutcome outcome =
+      stack.engine.resolve(article->author_query(), article->msd());
+  bus.sync();
+  ASSERT_TRUE(outcome.found);
+  ASSERT_EQ(outcome.stale_shortcuts, 1);
+
+  const std::vector<net::Message>& sent = transport.sent;
+  const std::string msd = article->msd().canonical();
+  const auto origin_lists_msd = [&](const net::Message& m) {
+    return m.context == net::Context::kResponse && m.from == entry &&
+           std::find(m.payload.begin(), m.payload.end(), msd) != m.payload.end();
+  };
+  const auto notice = std::find_if(sent.begin(), sent.end(), [](const net::Message& m) {
+    return m.action == net::Action::kShortcut && m.status == net::Status::kNotFound;
+  });
+  ASSERT_NE(notice, sent.end());
+  EXPECT_EQ(notice->to, entry);
+  // The jump's own response listed the shortcut ...
+  EXPECT_TRUE(std::any_of(sent.begin(), notice, origin_lists_msd));
+  // ... the walk then re-contacted the origin, and no later response lists it.
+  EXPECT_TRUE(std::any_of(notice, sent.end(), [&](const net::Message& m) {
+    return m.context == net::Context::kResponse && m.from == entry;
+  }));
+  EXPECT_FALSE(std::any_of(notice, sent.end(), origin_lists_msd));
+}
+
 /// Records nothing: the frozen-snapshot mode the sharded feed's lookup
 /// sub-phase runs in, minus the replay.
 struct DiscardingRecorder final : index::CacheDeltaRecorder {
-  void record_touch(const Id&, const Query&, const Query&) override {}
-  void record_install(const Id&, const Query&, const Query&) override {}
-  void record_invalidate(const Id&, const Query&, const Query&) override {}
+  void record(index::CacheDeltaKind, const Id&, const Query&, const Query&) override {}
 };
 
 TEST(ChurnLookup, RecorderModeSkipsAnInvalidatedShortcutLikeInlineMode) {
-  // In recorder mode a failed jump only records the invalidation; the frozen
-  // cache still holds the entry. The session must not jump through it again
-  // on its way back from the jump origin, or it loops to the interaction
-  // budget. Both modes must end the session the same way.
+  // With a deferring recorder a failed jump only records the invalidation;
+  // the frozen cache still holds the entry. The session must not jump
+  // through it again on its way back from the jump origin, or it loops to
+  // the interaction budget. It must end the way an immediate apply ends it.
   const auto stale_session = [](bool recorder_mode) {
     FaultyStack stack{/*replication=*/1, index::CachePolicy::kSingle, 15, 25};
     const auto& a = stack.corpus->article(0);

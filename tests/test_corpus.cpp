@@ -195,6 +195,26 @@ TEST(Corpus, XmlRoundTrip) {
   }
 }
 
+TEST(Corpus, FromXmlRejectsNumbersWithSignsBlanksOrJunk) {
+  // <size> and <year> hold plain decimal counts. A sign, an inner blank, a
+  // unit or other trailing junk makes the descriptor malformed; it must not
+  // load as a wrapped or truncated number. (Blanks around element text are
+  // the XML layer's to trim.)
+  const auto with = [](const std::string& year, const std::string& size) {
+    return "<dblp><article><author><first>A</first><last>B</last></author>"
+           "<title>T</title><conf>C</conf><year>" +
+           year + "</year><size>" + size + "</size></article></dblp>";
+  };
+  ASSERT_EQ(Corpus::from_xml(with("2003", "12")).article(0).file_bytes, 12u);
+  for (const std::string size : {"-1", "+1", "12kb", "1 2", "", "0x10",
+                                 "18446744073709551616"}) {
+    EXPECT_THROW(Corpus::from_xml(with("2003", size)), ParseError) << "size " << size;
+  }
+  for (const std::string year : {"2003junk", "-2003", "+2003", "20 03", "", "99999999999"}) {
+    EXPECT_THROW(Corpus::from_xml(with(year, "12")), ParseError) << "year " << year;
+  }
+}
+
 TEST(Corpus, FromXmlRejectsWrongRoot) {
   EXPECT_THROW(Corpus::from_xml("<library/>"), ParseError);
 }

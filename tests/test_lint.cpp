@@ -46,7 +46,7 @@ TEST(Lint, ListNamesEveryCheck) {
   EXPECT_EQ(result.exit_code, 0);
   for (const char* check :
        {"banned-random", "hot-path-map", "ledger-discipline", "query-by-value",
-        "unguarded-mutex", "pragma-once", "bad-suppression"}) {
+        "unguarded-mutex", "pragma-once", "lenient-number-parse", "bad-suppression"}) {
     EXPECT_NE(result.output.find(check), std::string::npos)
         << "--list is missing " << check << "\n" << result.output;
   }
@@ -85,6 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadFixture{"src/sim/bad_mutex.hpp", "unguarded-mutex"},
         BadFixture{"src/sim/bad_feed_map.cpp", "hot-path-map"},
         BadFixture{"src/index/bad_pragma.hpp", "pragma-once"},
+        BadFixture{"bench/bad_number_parse.cpp", "lenient-number-parse"},
         BadFixture{"src/index/suppressed_missing_justification.cpp",
                    "bad-suppression"}),
     [](const ::testing::TestParamInfo<BadFixture>& info) {

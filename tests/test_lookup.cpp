@@ -305,11 +305,9 @@ TEST(Lookup, VisitedNodesMatchResponsibleNodes) {
 /// there is one per query the walk asked, in walk order.
 class AskedQueries : public CacheDeltaRecorder {
  public:
-  void record_touch(const Id&, const Query&, const Query&) override {}
-  void record_install(const Id&, const Query& source, const Query&) override {
-    sources.push_back(source.canonical());
+  void record(CacheDeltaKind kind, const Id&, const Query& source, const Query&) override {
+    if (kind == CacheDeltaKind::kInstall) sources.push_back(source.canonical());
   }
-  void record_invalidate(const Id&, const Query&, const Query&) override {}
 
   std::vector<std::string> sources;
 };

@@ -141,6 +141,26 @@ TEST(Snapshot, VirtualBytesSurvive) {
   EXPECT_EQ((*got.records)[0].kind, "file:" + a.file_name());
 }
 
+TEST(Snapshot, VirtualBytesMustBeAPlainCount) {
+  // A sign, blanks or trailing junk in virtual-bytes make the snapshot
+  // malformed: none may load as a wrapped or truncated size, which would
+  // corrupt the store's total_bytes().
+  World w{10};
+  w.store.put(Id::hash("k"), storage::Record{"file:k", "payload", 1000});
+  const std::string xml = save_snapshot(w.service, w.store);
+  const std::string attribute = "virtual-bytes=\"1000\"";
+  ASSERT_NE(xml.find(attribute), std::string::npos);
+  for (const std::string value : {"-1", "+1", " 1", "1 ", "12kb", "0x10", "",
+                                  "18446744073709551616"}) {
+    std::string mutant = xml;
+    mutant.replace(mutant.find(attribute), attribute.size(),
+                   "virtual-bytes=\"" + value + "\"");
+    World restored{10};
+    EXPECT_THROW(load_snapshot(mutant, restored.service, restored.store), ParseError)
+        << "virtual-bytes=\"" << value << "\"";
+  }
+}
+
 TEST(Snapshot, EmptyWorldRoundTrips) {
   World w{5};
   const std::string xml = save_snapshot(w.service, w.store);
@@ -246,7 +266,8 @@ std::vector<std::string> snapshot_mutants(const std::string& snapshot) {
                                         "&;"}) {
     mutants.push_back(with_value("key", value));
   }
-  for (const std::string_view value : {"", "abc", "-1", "1e9", "99999999999999999999999"}) {
+  for (const std::string_view value :
+       {"", "abc", "-1", "+1", " 1", "12kb", "1e9", "99999999999999999999999"}) {
     mutants.push_back(with_value("virtual-bytes", value));
   }
   mutants.push_back(with_value("kind", "&#x110000;"));

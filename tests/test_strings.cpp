@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace dhtidx {
 namespace {
 
@@ -57,6 +59,39 @@ TEST(StartsWith, Basic) {
   EXPECT_TRUE(starts_with("abc", "abc"));
   EXPECT_FALSE(starts_with("ab", "abc"));
   EXPECT_TRUE(starts_with("anything", ""));
+}
+
+TEST(ParseNumber, AcceptsPlainDigits) {
+  EXPECT_EQ(parse_number<std::size_t>("0"), 0u);
+  EXPECT_EQ(parse_number<std::size_t>("500"), 500u);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_number<int>("2003"), 2003);
+  EXPECT_EQ(parse_number<std::uint32_t>("10FFFF", 16), 0x10FFFFu);
+  EXPECT_EQ(parse_number<std::uint32_t>("e9", 16), 0xE9u);
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  EXPECT_EQ(parse_number<double>("1"), 1.0);
+}
+
+TEST(ParseNumber, RejectsSignsBlanksAndJunk) {
+  // Anything but the digits of one value is rejected, so no input loads as
+  // a wrapped or truncated number.
+  for (const char* text : {"", "-1", "+1", " 1", "1 ", "\t1", "12kb", "1.5", "0x10", "1e3",
+                           "abc"}) {
+    EXPECT_EQ(parse_number<std::size_t>(text), std::nullopt) << '"' << text << '"';
+  }
+  EXPECT_EQ(parse_number<int>("-2003"), std::nullopt);
+  EXPECT_EQ(parse_number<int>("2003junk"), std::nullopt);
+  EXPECT_EQ(parse_number<std::uint32_t>("41g", 16), std::nullopt);
+  EXPECT_EQ(parse_number<std::uint32_t>("x41", 16), std::nullopt);
+  for (const char* text : {"", "-0.5", "+0.5", " 0.5", "0.5x", ".5", "inf", "nan", "1e-3"}) {
+    EXPECT_EQ(parse_number<double>(text), std::nullopt) << '"' << text << '"';
+  }
+}
+
+TEST(ParseNumber, RejectsValuesTheTypeCannotHold) {
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(parse_number<int>("2147483648"), std::nullopt);
+  EXPECT_EQ(parse_number<std::uint32_t>("110000000", 16), std::nullopt);
 }
 
 }  // namespace

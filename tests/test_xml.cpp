@@ -71,6 +71,16 @@ TEST(XmlParser, EmptyCharacterReferenceIsAParseError) {
   EXPECT_THROW(parse("<a>&#x;</a>"), ParseError);
 }
 
+TEST(XmlParser, CharacterReferenceMustBeAllDigits) {
+  // Junk after the digits, a sign or a blank makes the reference malformed
+  // rather than decoding the digits it starts with.
+  for (const char* doc : {"<a>&#65junk;</a>", "<a>&#x41g;</a>", "<a>&#+65;</a>",
+                          "<a>&#-65;</a>", "<a>&# 65;</a>", "<a>&#x 41;</a>",
+                          "<a>&#x-41;</a>", "<a>&#99999999999999999999;</a>"}) {
+    EXPECT_THROW(parse(doc), ParseError) << doc;
+  }
+}
+
 TEST(XmlParser, CData) {
   const Element doc = parse("<a><![CDATA[1 < 2 && 3 > 2]]></a>");
   EXPECT_EQ(doc.text(), "1 < 2 && 3 > 2");

@@ -25,6 +25,7 @@
 #include "audit/audit.hpp"
 #include "biblio/corpus.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "dht/can.hpp"
 #include "dht/chord.hpp"
 #include "dht/pastry.hpp"
@@ -38,6 +39,11 @@ using namespace dhtidx;
 
 namespace {
 
+/// A malformed command line: main prints the usage text and exits 2.
+struct UsageError : Error {
+  using Error::Error;
+};
+
 struct Args {
   std::map<std::string, std::string> options;
 
@@ -47,7 +53,10 @@ struct Args {
   }
   std::size_t get_size(const std::string& key, std::size_t fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stoull(it->second);
+    if (it == options.end()) return fallback;
+    const std::optional<std::size_t> value = parse_number<std::size_t>(it->second);
+    if (!value) throw UsageError("--" + key + " expects a count, got '" + it->second + "'");
+    return *value;
   }
   bool has(const std::string& key) const { return options.contains(key); }
 };
@@ -210,11 +219,25 @@ int run(const Args& args) {
   return all_clean ? 0 : 1;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: dhtidx_audit [--scheme simple|flat|complex|all]\n"
+               "                    [--substrate ring|chord|can|pastry|all]\n"
+               "                    [--articles N] [--authors N] [--conferences N]\n"
+               "                    [--corpus corpus.xml] [--nodes N] [--seed S] [--warm N]\n"
+               "                    [--policy none|single|multi|lru|lru-multi] [--capacity K]\n"
+               "                    [--replication R] [--snapshot snapshot.xml] [--report]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     return run(parse_args(argc, argv));
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "dhtidx_audit: %s\n", e.what());
+    return usage();
   } catch (const Error& e) {
     std::fprintf(stderr, "dhtidx_audit: %s\n", e.what());
     return 2;

@@ -31,6 +31,13 @@
 //   pragma-once        Every header under src/ carries #pragma once (the
 //                      standalone-header-compile test includes each one
 //                      twice).
+//   lenient-number-parse
+//                      Numbers read from files and command lines go through
+//                      parse_number (common/strings.hpp), which takes digits
+//                      only. The C library parsers (the sto* family, the
+//                      strto* family, atoi, atol) accept a sign, leading
+//                      blanks and trailing junk, so "-1" reads as 2^64 - 1.
+//                      Checked under src/, bench/, examples/ and tools/.
 //   bad-suppression    A `// dhtidx-lint: allow(<check>)` comment must name a
 //                      known check and carry a quoted justification string.
 //
@@ -87,6 +94,7 @@ constexpr CheckInfo kChecks[] = {
     {"query-by-value", "by-value query::Query parameter on a service path"},
     {"unguarded-mutex", "mutex member without a DHTIDX_GUARDED_BY field"},
     {"pragma-once", "src/ header without #pragma once"},
+    {"lenient-number-parse", "sto*/strto*/atoi/atol number parse instead of parse_number"},
     {"bad-suppression", "allow() naming an unknown check or lacking a justification"},
 };
 
@@ -398,6 +406,23 @@ void check_pragma_once(const std::string& rel,
          "header lacks #pragma once");
 }
 
+void check_lenient_number_parse(const std::string& rel,
+                                const std::vector<std::string>& code,
+                                const Suppressions& allowed,
+                                std::vector<Finding>& findings) {
+  if (!starts_with(rel, "src/") && !starts_with(rel, "bench/") &&
+      !starts_with(rel, "examples/") && !starts_with(rel, "tools/")) {
+    return;
+  }
+  if (rel == "src/common/strings.hpp" || rel == "src/common/strings.cpp") return;
+  static const std::regex kLenient(
+      R"(\b(?:sto(?:i|l|ll|ul|ull|f|d|ld)|strto\w*|ato(?:i|l|ll|f))\s*\()");
+  scan_lines(code, kLenient, "lenient-number-parse",
+             "lenient number parse (accepts a sign, blanks and trailing junk); "
+             "use parse_number from common/strings.hpp",
+             rel, allowed, findings);
+}
+
 // --- driver -----------------------------------------------------------------
 
 /// Lints one file; returns false on IO failure.
@@ -422,6 +447,7 @@ bool lint_file(const fs::path& path, const std::string& rel,
   check_query_by_value(rel, code, allowed, findings);
   check_unguarded_mutex(rel, code, allowed, findings);
   check_pragma_once(rel, raw, allowed, findings);
+  check_lenient_number_parse(rel, code, allowed, findings);
   return true;
 }
 
