@@ -419,6 +419,37 @@ void BM_SelectHop(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectHop);
 
+// A session that hits a large shortcut bucket: one source query with 1,000
+// shortcuts, inserted directly into its node's single cache. Iteration i
+// wants the i-th target in turn, which is always the bucket's least recently
+// used one, so a scan of the bucket would compare all 1,000 targets. The hit
+// is one probe of the (source, MSD) pair.
+void BM_ResolveHitLargeBucket(benchmark::State& state) {
+  net::TrafficLedger ledger;
+  dht::Ring ring = dht::Ring::with_nodes(25);
+  storage::DhtStore store{ring, ledger};
+  index::IndexService service{ring, ledger};
+  const query::Query source = query::Query::parse("/article/conf/INFOCOM");
+  index::ShortcutCache& cache = service.state_at(service.node_for(source)).cache();
+  std::vector<query::Query> msds;
+  for (int i = 0; i < 1000; ++i) {
+    msds.push_back(query::Query::parse("/article[conf/INFOCOM][title/T" + std::to_string(i) +
+                                       "][year/1996]"));
+    cache.insert(source, msds.back());
+    store.put(msds.back().key(), storage::Record{"file", "t.pdf", 1000});
+  }
+  index::LookupEngine engine{service, store, {index::CachePolicy::kSingle}};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const index::LookupOutcome outcome = engine.resolve(source, msds[i++ % msds.size()]);
+    if (!outcome.cache_hit) {
+      state.SkipWithError("session missed the cache");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_ResolveHitLargeBucket);
+
 /// Console output as usual, plus one JSON line per benchmark at the end of
 /// the run (the BENCH_*.json trajectory format shared with the sweeps).
 class JsonLineReporter : public benchmark::ConsoleReporter {

@@ -46,12 +46,23 @@ std::vector<std::pair<const query::Query*, const query::Query*>> ShortcutCache::
 }
 
 bool ShortcutCache::contains(const query::Query& source, const query::Query& target) const {
-  phase_.assert_shared();
   const query::Query* s = interner_->find_existing(source);
   if (s == nullptr) return false;
   const query::Query* t = interner_->find_existing(target);
   if (t == nullptr) return false;
-  return by_key_.contains({s, t});
+  return contains_interned(s, t);
+}
+
+bool ShortcutCache::contains_interned(const query::Query* source,
+                                      const query::Query* target) const {
+  phase_.assert_shared();
+  return by_key_.contains({source, target});
+}
+
+std::size_t ShortcutCache::bucket_size(const query::Query* source) const {
+  phase_.assert_shared();
+  const auto it = by_source_.find(source);
+  return it == by_source_.end() ? 0 : it->second.size();
 }
 
 bool ShortcutCache::insert(const query::Query& source, const query::Query& target) {

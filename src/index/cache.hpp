@@ -12,9 +12,12 @@
 // index service), probes resolve the argument to its interned instance first
 // and then work purely on pointer identity -- no canonical-string
 // concatenation or string-keyed hashing on the hot path. The *_interned
-// variants skip even the probe for callers that already hold pool refs
-// (index::apply_cache_delta, the one rule every session's cache deltas go
-// through).
+// variants and bucket_size() skip even the probe for callers that already
+// hold pool refs: index::apply_cache_delta, the one rule every session's
+// cache deltas go through, and LookupEngine::resolve, whose session resolves
+// its two queries once (DESIGN.md section 10). A lookup hit is then one
+// by_key_ probe, whatever the size of the source's bucket. find() copies a
+// bucket; only the wire response and the auditor need that.
 //
 // Concurrency contract (DESIGN.md sections 13 and 15): `phase_` is the
 // barrier-phase capability over every mutable structure. During the sharded
@@ -82,6 +85,13 @@ class ShortcutCache {
 
   /// True when the exact (source, target) shortcut is present.
   bool contains(const query::Query& source, const query::Query& target) const;
+
+  /// contains() for interner-owned refs: one by_key_ probe.
+  bool contains_interned(const query::Query* source, const query::Query* target) const;
+
+  /// Number of targets cached under the interner-owned `source` (find()'s
+  /// size, without copying the bucket).
+  std::size_t bucket_size(const query::Query* source) const;
 
   /// Inserts (or refreshes) a shortcut. Returns true when a new entry was
   /// created (false when it already existed and was only touched).

@@ -39,9 +39,21 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
   // (Query::signature), so the selection below skips it without covers().
   const std::uint64_t msd_signature = target_msd.signature();
 
-  const Query* q = &initial;
+  // Session identity (DESIGN.md section 10): the session resolves both of its
+  // queries to their interned instances once, and from then on compares
+  // pointers. The pool cannot gain q or the MSD while the walk runs, so an
+  // MSD nobody pooled (msd == nullptr) is in no index and no cache, and a q
+  // outside the pool (`pooled` false: an un-pooled initial query or a scratch
+  // generalization) has no mapping and no shortcut anywhere.
+  const query::QueryInterner& interner = service_.interner();
+  const Query* const msd = interner.find_existing(target_msd);
+  const Query* q = interner.find_existing(initial);
+  bool pooled = q != nullptr;
+  if (!pooled) q = &initial;
   while (outcome.interactions < config_.max_interactions) {
-    if (*q == target_msd) {
+    // Only an MSD nobody pooled needs a value compare: a pooled MSD equals no
+    // query outside the pool.
+    if (msd != nullptr ? q == msd : *q == target_msd) {
       // Final step: fetch the file from the storage layer (the Publication
       // index of Figure 5). DhtStore::get accounts its own traffic and fails
       // over across storage replicas itself.
@@ -79,7 +91,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
         ++outcome.stale_shortcuts;
         outcome.cache_hit = false;
         outcome.cache_hit_position = 0;
-        q = jumped_from->second;
+        q = jumped_from->second;  // pooled: the jump's source held a shortcut
         jumped_from.reset();
         continue;
       }
@@ -103,30 +115,17 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     // The shortcut cache is consulted by the node before the regular index;
     // a hit answers with the target descriptor directly.
     bool key_has_cache_entries = false;
-    if (caching_enabled(config_.policy) && contact.state != nullptr) {
+    if (caching_enabled(config_.policy) && contact.state != nullptr && pooled) {
       const ShortcutCache& cache = contact.state->cache();
-      const auto cached = cache.find(*q);
+      const bool cached = msd != nullptr && cache.contains_interned(q, msd);
       // An entry this session invalidated counts as erased: no hit, and not
       // an entry of the key.
-      const bool skip_target =
-          std::any_of(invalidated.begin(), invalidated.end(), [&](const auto& entry) {
-            return entry.first == node && *entry.second == *q;
+      const bool invalidated_here =
+          cached && std::any_of(invalidated.begin(), invalidated.end(), [&](const auto& entry) {
+            return entry.first == node && entry.second == q;
           });
-      std::size_t live_entries = cached.size();
-      const Query* hit = nullptr;
-      for (const Query* t : cached) {
-        if (*t == target_msd) {
-          if (skip_target) {
-            --live_entries;
-          } else {
-            hit = t;
-          }
-          break;
-        }
-      }
-      key_has_cache_entries = live_entries != 0;
-      if (hit != nullptr) {
-        recorder_->record(CacheDeltaKind::kTouch, node, *q, *hit);
+      if (cached && !invalidated_here) {
+        recorder_->record(CacheDeltaKind::kTouch, node, *q, *msd);
         ledger.cache.record(target_msd.byte_size() + net::kMessageOverheadBytes);
         if (!outcome.cache_hit) {
           outcome.cache_hit = true;
@@ -134,13 +133,14 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
         }
         asked.emplace_back(node, q);
         jumped_from = std::pair{node, q};
-        q = hit;  // jump straight to the file (interned instance of the MSD)
+        q = msd;  // jump straight to the file
         continue;
       }
+      key_has_cache_entries = cache.bucket_size(q) > (invalidated_here ? 1u : 0u);
     }
 
     const IndexNodeState::SourceEntry& entry =
-        contact.state != nullptr ? contact.state->entry_of(*q) : kNoEntry;
+        contact.state != nullptr && pooled ? contact.state->entry_of_interned(q) : kNoEntry;
     const std::vector<IndexNodeState::TargetRef>& targets = entry.targets;
     ledger.responses.record(entry.target_bytes + net::kMessageOverheadBytes);
 
@@ -152,7 +152,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     for (const IndexNodeState::TargetRef& ref : targets) {
       if ((ref.signature & ~msd_signature) != 0) continue;
       const Query& t = *ref.target;
-      if (t != target_msd && !t.covers(target_msd)) continue;
+      if (ref.target != msd && !t.covers(target_msd)) continue;
       if (next == nullptr || t.constraints().size() > next->constraints().size()) {
         next = ref.target;
       }
@@ -160,6 +160,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     if (next != nullptr) {
       asked.emplace_back(node, q);
       q = next;
+      pooled = true;
       continue;
     }
 
@@ -186,11 +187,13 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     ++outcome.generalization_steps;
     // The same generalization recurs across sessions; reuse the interned
     // instance (warm canonical + key) when the index already knows it.
-    if (const Query* interned = service_.interner().find_existing(*fallback)) {
+    if (const Query* interned = interner.find_existing(*fallback)) {
       q = interned;
+      pooled = true;
     } else {
       scratch.push_back(std::move(*fallback));
       q = &scratch.back();
+      pooled = false;
     }
   }
   if (!outcome.found && outcome.interactions >= config_.max_interactions) {
@@ -236,9 +239,10 @@ void LookupEngine::create_shortcuts(const std::vector<std::pair<Id, const Query*
   if (!caching_enabled(config_.policy) || asked.empty()) return;
   net::FailureInjector* failures = service_.failures();
   const std::size_t count = multi_placement(config_.policy) ? asked.size() : 1;
+  // `asked` never holds the MSD itself: resolve adds a query only after its
+  // final-step test failed.
   for (std::size_t i = 0; i < count; ++i) {
     const auto& [node, q] = asked[i];
-    if (*q == target_msd) continue;  // no point shortcutting the MSD to itself
     if (failures != nullptr && failures->is_crashed(node)) continue;  // dead, no cache
     recorder_->record(CacheDeltaKind::kInstall, node, *q, target_msd);
   }
@@ -365,14 +369,12 @@ std::vector<Query> LookupEngine::search_tree(const Query& initial, int depth_lim
 std::size_t LookupEngine::purge_stale_shortcuts() {
   std::size_t purged = 0;
   for (auto& [node, state] : service_.states()) {
-    // Collect by value first: erase() mutates the structures entries() points
-    // into.
-    std::vector<std::pair<Query, Query>> stale;
+    // entries() is a copy of the cache's interner-owned pairs, which stay
+    // valid while erase_interned mutates the cache.
     for (const auto& [source, target] : state.cache().entries()) {
-      if (!store_.has_record(target->key())) stale.emplace_back(*source, *target);
-    }
-    for (const auto& [source, target] : stale) {
-      if (state.cache().erase(source, target)) ++purged;
+      if (!store_.has_record(target->key()) && state.cache().erase_interned(source, target)) {
+        ++purged;
+      }
     }
   }
   return purged;

@@ -10,6 +10,12 @@
 //     ("locating non-indexed data", the source of Table I's error counts),
 //   - creates shortcut entries after success, per the configured policy.
 //
+// A session resolves its initial query and MSD to their interned instances
+// once, at the start, and then compares pointers: a cache hit is one probe of
+// the (query, MSD) pair, whatever the size of the query's bucket, and target
+// selection and the index probe take the interned query. Only an MSD nobody
+// published is compared by value, at the final step (DESIGN.md section 10).
+//
 // The engine never mutates a shortcut cache itself: every touch, install and
 // invalidation goes to a CacheDeltaRecorder, and apply_cache_delta applies
 // it -- at once by default, or in the feed engine's apply sub-phase

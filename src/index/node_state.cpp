@@ -18,17 +18,12 @@ std::vector<IndexNodeState::SourceEntry>::iterator IndexNodeState::lower_bound(
 }
 
 std::vector<IndexNodeState::SourceEntry>::const_iterator IndexNodeState::find_entry(
-    const query::Query& source) const {
-  // Probe-only: resolve through the interner without growing it. A source the
-  // interner has never seen cannot have been added here.
-  const query::Query* interned = interner_->find_existing(source);
-  if (interned == nullptr) return entries_.end();
-  const auto it = std::lower_bound(entries_.begin(), entries_.end(),
-                                   interned->canonical(),
+    const query::Query* source) const {
+  const auto it = std::lower_bound(entries_.begin(), entries_.end(), source->canonical(),
                                    [](const SourceEntry& entry, const std::string& c) {
                                      return entry.source->canonical() < c;
                                    });
-  if (it == entries_.end() || it->source != interned) return entries_.end();
+  if (it == entries_.end() || it->source != source) return entries_.end();
   return it;
 }
 
@@ -77,7 +72,9 @@ std::size_t IndexNodeState::expire_older_than(std::uint64_t cutoff) {
 
 std::optional<std::uint64_t> IndexNodeState::refresh_stamp(
     const query::Query& source, const query::Query& target) const {
-  const auto it = find_entry(source);
+  const query::Query* s = interner_->find_existing(source);
+  if (s == nullptr) return std::nullopt;
+  const auto it = find_entry(s);
   if (it == entries_.end()) return std::nullopt;
   const query::Query* t = interner_->find_existing(target);
   if (t == nullptr) return std::nullopt;
@@ -87,13 +84,26 @@ std::optional<std::uint64_t> IndexNodeState::refresh_stamp(
   return pos->stamp;
 }
 
+// The by-value probes resolve through the interner without growing it: a
+// source the interner has never seen cannot have been added here.
 const IndexNodeState::SourceEntry& IndexNodeState::entry_of(
     const query::Query& source) const {
+  const query::Query* interned = interner_->find_existing(source);
+  return interned == nullptr ? kNoEntry : entry_of_interned(interned);
+}
+
+const IndexNodeState::SourceEntry& IndexNodeState::entry_of_interned(
+    const query::Query* source) const {
   const auto it = find_entry(source);
   return it == entries_.end() ? kNoEntry : *it;
 }
 
 bool IndexNodeState::has_source(const query::Query& source) const {
+  const query::Query* interned = interner_->find_existing(source);
+  return interned != nullptr && has_source_interned(interned);
+}
+
+bool IndexNodeState::has_source_interned(const query::Query* source) const {
   return find_entry(source) != entries_.end();
 }
 

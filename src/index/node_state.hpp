@@ -65,8 +65,14 @@ class IndexNodeState {
   /// sum (an empty entry when none is registered).
   const SourceEntry& entry_of(const query::Query& source) const;
 
+  /// entry_of() for an interner-owned `source`: skips the interner probe.
+  const SourceEntry& entry_of_interned(const query::Query* source) const;
+
   /// True when any mapping is registered under `source`.
   bool has_source(const query::Query& source) const;
+
+  /// has_source() for an interner-owned `source`: skips the interner probe.
+  bool has_source_interned(const query::Query* source) const;
 
   /// Removes the mapping. Returns true when it existed; sets
   /// `source_now_empty` when it was the last mapping for that source.
@@ -110,7 +116,9 @@ class IndexNodeState {
  private:
   /// Sorted position of `canonical` in entries_ (insertion point when absent).
   std::vector<SourceEntry>::iterator lower_bound(const std::string& canonical);
-  std::vector<SourceEntry>::const_iterator find_entry(const query::Query& source) const;
+  /// The entry of `source` (entries_.end() when absent): the one binary
+  /// search every probe goes through.
+  std::vector<SourceEntry>::const_iterator find_entry(const query::Query* source) const;
 
   std::unique_ptr<query::QueryInterner> own_interner_;  // set when standalone
   query::QueryInterner* interner_;

@@ -148,7 +148,7 @@ bool IndexService::remove_interned(const query::Query* source, const query::Quer
     if (state != nullptr) {
       removed_here = state->remove_interned(source, target, empty_here);
       if (removed_here) removed_any = true;
-      if (state->has_source(*source)) any_left = true;
+      if (state->has_source_interned(source)) any_left = true;
     }
     if (bus_ != nullptr) wire_remove(replica, source, target, removed_here);
   }
@@ -171,6 +171,9 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
   // `replication_` live replicas all turned out empty -- further candidates
   // hold no copy by the placement rule. The usefulness probe only decides
   // failover, so with one copy it is skipped: the one live replica answers.
+  // It probes on q's interned instance, resolved once here; a query the pool
+  // does not hold has no mapping or shortcut on any replica.
+  const query::Query* interned = replication_ > 1 ? interner_->find_existing(q) : nullptr;
   IndexNodeState* first_state = nullptr;
   Id first_node = result.node;
   std::size_t contacted = 0;
@@ -185,9 +188,9 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
     net::active(ledger_).queries.record(request_bytes);
     if (bus_ != nullptr) wire_lookup(q, replica, action, consider_cache);
     IndexNodeState* state = find_state(replica);
-    const bool useful =
-        replication_ > 1 && state != nullptr &&
-        (state->has_source(q) || (consider_cache && !state->cache().find(q).empty()));
+    const bool useful = interned != nullptr && state != nullptr &&
+                        (state->has_source_interned(interned) ||
+                         (consider_cache && state->cache().bucket_size(interned) != 0));
     if (useful) {
       result.state = state;
       result.node = replica;

@@ -4,7 +4,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -317,7 +316,7 @@ void merge_by_virtual_time(const std::vector<const std::vector<T>*>& queues, Fn&
 
 }  // namespace
 
-void FeedTotals::fold(const index::LookupOutcome& outcome) {
+void FeedTotals::fold(index::LookupOutcome outcome) {
   ++sessions;
   interactions += static_cast<std::uint64_t>(outcome.interactions);
   generalizations += static_cast<std::uint64_t>(outcome.generalization_steps);
@@ -333,8 +332,12 @@ void FeedTotals::fold(const index::LookupOutcome& outcome) {
   if (outcome.gave_up) ++gave_up;
   if (outcome.unreachable) ++unreachable;
   stale_shortcuts += static_cast<std::size_t>(outcome.stale_shortcuts);
-  const std::set<Id> unique_nodes(outcome.visited_nodes.begin(), outcome.visited_nodes.end());
-  for (const Id& node : unique_nodes) ++node_touches[node];
+  // By value: the feed passes each outcome as a temporary, so its
+  // visited_nodes can be deduplicated in place.
+  std::vector<Id>& nodes = outcome.visited_nodes;
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  for (const Id& node : nodes) ++node_touches[node];
 }
 
 void FeedTotals::merge(const FeedTotals& other) {

@@ -78,12 +78,12 @@ struct FeedTotals {
   std::size_t indexed_failures = 0;  ///< failed sessions whose entry query was indexed
   /// Unique-node touch counts per session, summed; iterated in sorted Id
   /// order when the driver derives node_load_fractions.
-  // dhtidx-lint: allow(hot-path-map) "merged once per feed, never touched per query; sorted iteration drives deterministic load fractions"
+  // dhtidx-lint: allow(hot-path-map) "one increment per unique node per session; sorted iteration keeps load fractions deterministic"
   std::map<Id, std::uint64_t> node_touches;
   net::TrafficLedger ledger;  ///< all feed traffic (worker + apply charges)
 
   /// Adds one session's outcome.
-  void fold(const index::LookupOutcome& outcome);
+  void fold(index::LookupOutcome outcome);
   /// Adds another worker's totals.
   void merge(const FeedTotals& other);
 };

@@ -256,6 +256,57 @@ TEST(Lookup, ExhaustedInteractionBudgetSetsGaveUpNotCleanMiss) {
   EXPECT_FALSE(relaxed.gave_up);
 }
 
+// A session resolves its two queries to their interned instances once and
+// compares pointers from then on (DESIGN.md section 10). An MSD nobody
+// published is not in the pool, so these sessions take the fallback paths.
+
+TEST(Lookup, StoredButUnpublishedMsdIsFoundDirectly) {
+  net::TrafficLedger ledger;
+  dht::Ring ring = dht::Ring::with_nodes(25);
+  storage::DhtStore store{ring, ledger};
+  IndexService service{ring, ledger};
+  biblio::CorpusConfig config;
+  config.articles = 3;
+  config.authors = 2;
+  const biblio::Corpus corpus = biblio::Corpus::generate(config);
+  const biblio::Article& a = corpus.article(0);
+  store.put(a.msd().key(),
+            IndexBuilder::file_record(a.descriptor(), a.file_name(), a.file_bytes));
+  ASSERT_EQ(service.interner().find_existing(a.msd()), nullptr);
+
+  LookupEngine engine{service, store, {CachePolicy::kSingle}};
+  const LookupOutcome outcome = engine.resolve(a.msd(), a.msd());
+  EXPECT_TRUE(outcome.found);
+  EXPECT_EQ(outcome.interactions, 1);
+  EXPECT_FALSE(outcome.cache_hit);
+  EXPECT_EQ(service.totals().cached_entries, 0u);
+}
+
+TEST(Lookup, UnpublishedUnstoredMsdIsACleanMiss) {
+  World w{SchemeKind::kSimple, CachePolicy::kSingle};
+  const auto& a = w.article(0);
+  // A real session first, so the author query's node caches a shortcut and
+  // the miss below probes a non-empty bucket.
+  ASSERT_TRUE(w.engine.resolve(a.author_query(), a.msd()).found);
+  ASSERT_EQ(w.service.totals().cached_entries, 1u);
+
+  Query unpublished = a.author_query();
+  unpublished.add_field("title", "A title nobody published").add_field("year", "1899");
+  ASSERT_TRUE(a.author_query().covers(unpublished));
+  ASSERT_EQ(w.service.interner().find_existing(unpublished), nullptr);
+  const std::size_t pooled = w.service.interner().size();
+
+  const LookupOutcome outcome = w.engine.resolve(a.author_query(), unpublished);
+  EXPECT_FALSE(outcome.found);
+  EXPECT_FALSE(outcome.gave_up);
+  EXPECT_FALSE(outcome.unreachable);
+  EXPECT_FALSE(outcome.cache_hit);
+  EXPECT_FALSE(outcome.non_indexed);
+  EXPECT_EQ(outcome.interactions, 1);
+  EXPECT_EQ(w.service.interner().size(), pooled);
+  EXPECT_EQ(w.service.totals().cached_entries, 1u);
+}
+
 TEST(Lookup, SearchAllFindsAllArticlesOfAnAuthor) {
   World w{SchemeKind::kSimple};
   const auto& a = w.article(0);

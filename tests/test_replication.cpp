@@ -339,5 +339,36 @@ TEST(PlacementRule, OneSubstrateCallPerOperationAndWritesOnFirstLiveSuccessors) 
   }
 }
 
+TEST(ContactFailover, CachedShortcutMakesTheFirstReplicaUseful) {
+  // At r = 2 contact() stops at the first replica that can serve the key.
+  // Here no node holds a mapping under q, and only q's first write node
+  // caches a shortcut under it.
+  using query::Query;
+  const Query q = Query::parse("/article/conf/ICDCS");
+  const Query target = Query::parse("/article[conf/ICDCS][title/DHT][year/2004]");
+  dht::Ring ring = dht::Ring::with_nodes(12);
+  net::TrafficLedger ledger;
+  index::IndexService service{ring, ledger, /*cache_capacity=*/0, /*replication=*/2};
+  const std::vector<Id> writes = dht::write_nodes(ring, q.key(), 2, nullptr);
+  ASSERT_EQ(writes.size(), 2u);
+  ASSERT_TRUE(service.state_at(writes.front()).cache().insert(q, target));
+  ASSERT_EQ(service.totals().mappings, 0u);
+
+  const auto cached = service.contact(q, /*consider_cache=*/true);
+  EXPECT_EQ(cached.node, writes.front());
+  EXPECT_EQ(cached.replicas_tried, 1);
+  ASSERT_NE(cached.state, nullptr);
+  EXPECT_EQ(cached.state->cache().find(q).size(), 1u);
+  EXPECT_EQ(ledger.queries.messages(), 1u);
+
+  ledger.reset();
+  const auto uncached = service.contact(q, /*consider_cache=*/false);
+  EXPECT_EQ(uncached.node, writes.front());
+  EXPECT_EQ(uncached.replicas_tried, 2);
+  EXPECT_EQ(uncached.state, cached.state);
+  EXPECT_FALSE(uncached.unreachable);
+  EXPECT_EQ(ledger.queries.messages(), 2u);
+}
+
 }  // namespace
 }  // namespace dhtidx::storage
