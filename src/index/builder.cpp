@@ -39,8 +39,13 @@ void IndexBuilder::index_file(const xml::Element& descriptor, const std::string&
 
   store_.put(msd.key(), file_record(descriptor, file_name, file_bytes));
 
+  // No plan_for memo: a build never replays one. A pooled query resolves to
+  // its interned instance, whose key is warm; only a new one is hashed.
+  query::QueryInterner& interner = service_.interner();
   std::size_t inserted = 0;
-  for (const auto& [source, target] : plan_for(msd)) {
+  for (Mapping& m : scheme_.mappings_for(msd)) {
+    const query::Query* source = interner.intern(std::move(m.source));
+    const query::Query* target = interner.intern(std::move(m.target));
     service_.insert_interned(source, target, now);
     ++inserted;
   }
@@ -85,12 +90,20 @@ std::size_t IndexBuilder::remove_file(const xml::Element& descriptor) {
   // Cascade: a mapping (s ; t) may be removed once its target key t no
   // longer leads anywhere -- initially only the MSD qualifies (the file is
   // gone). Each removal that empties a source key makes mappings pointing at
-  // that key removable in turn.
-  const std::vector<InternedMapping>& mappings = plan_for(msd);
+  // that key removable in turn. Probe-only: a query the pool has never seen
+  // is in no partition, and without a pooled MSD nothing can cascade.
+  const query::QueryInterner& interner = service_.interner();
+  const query::Query* interned_msd = interner.find_existing(msd);
+  if (interned_msd == nullptr) return 0;
+  std::vector<InternedMapping> mappings;
+  for (const Mapping& m : scheme_.mappings_for(msd)) {
+    const query::Query* source = interner.find_existing(m.source);
+    const query::Query* target = interner.find_existing(m.target);
+    if (source != nullptr && target != nullptr) mappings.emplace_back(source, target);
+  }
   std::vector<bool> removed(mappings.size(), false);
-  // Interned refs make key identity a pointer comparison; the MSD is interned
-  // via the service pool so it can seed the dead set.
-  std::unordered_set<const query::Query*> dead_keys{service_.interner().intern(msd)};
+  // Interned refs make key identity a pointer comparison.
+  std::unordered_set<const query::Query*> dead_keys{interned_msd};
   std::size_t total_removed = 0;
   bool progress = true;
   while (progress) {

@@ -1,7 +1,8 @@
 // Building and maintaining indexes (Section IV-C).
 //
 // The IndexBuilder inserts a file into the DHT storage and registers all the
-// index entries its scheme prescribes. Removal regenerates the same mappings
+// index entries its scheme prescribes (a simulation builds its whole world
+// through sim::build_world instead). Removal regenerates the same mappings
 // and deletes them bottom-up: when the last mapping under a key disappears,
 // the references to that key are recursively deleted too, exactly as the
 // paper describes for read/write systems.
@@ -37,8 +38,9 @@ class IndexBuilder {
   const IndexingScheme& scheme() const { return scheme_; }
 
   /// The stored record of a file: kind "file:<name>", the compact descriptor
-  /// XML as payload, and the blob size as virtual bytes. Every build path
-  /// (index_file, republish, the sharded build) and Twine store this record.
+  /// XML as payload, and the blob size as virtual bytes. index_file,
+  /// republish, the op pipeline (sim::build_world) and Twine store this
+  /// record.
   static storage::Record file_record(const xml::Element& descriptor,
                                      const std::string& file_name,
                                      std::uint64_t file_bytes);
@@ -62,7 +64,8 @@ class IndexBuilder {
                         std::uint64_t file_bytes = 0);
 
   /// Deletes the file and cascades index-entry removal (Section IV-C).
-  /// Returns the number of mappings removed.
+  /// Returns the number of mappings removed. Probe-only on the query pool:
+  /// removing a file that was never indexed interns nothing.
   std::size_t remove_file(const xml::Element& descriptor);
 
   /// Adds an extra "short-circuit" entry for popular content: a direct
@@ -85,15 +88,15 @@ class IndexBuilder {
 
   /// The scheme's mappings for `msd`, interned once per distinct descriptor.
   /// Safe to memoize: the scheme is copied at construction and immutable, so
-  /// mappings_for(msd) is deterministic; index/republish/remove all replay
-  /// the same plan instead of regenerating and re-canonicalizing the queries.
+  /// mappings_for(msd) is deterministic. Only republish replays plans; a
+  /// build indexes each descriptor once.
   const std::vector<InternedMapping>& plan_for(const query::Query& msd);
 
   IndexService& service_;
   storage::DhtStore& store_;
   IndexingScheme scheme_;
   FieldDictionary* dictionary_ = nullptr;
-  // dhtidx-lint: allow(hot-path-map) "build-time plan staging probed by exact canonical key and never iterated, so the unordered layout is unobservable"
+  // dhtidx-lint: allow(hot-path-map) "republish plan memo probed by exact canonical key and never iterated, so the unordered layout is unobservable"
   std::unordered_map<std::string, std::vector<InternedMapping>> plans_;
 };
 

@@ -56,15 +56,6 @@ void IndexService::wire_remove(const Id& node, const query::Query* source,
   });
 }
 
-void IndexService::wire_publish(net::Action action, const Id& node,
-                                const query::Query* source,
-                                const query::Query* target) {
-  net::Message message = net::Message::request(action, Id{}, node);
-  message.payload.push_back(source->canonical());
-  message.payload.push_back(target->canonical());
-  bus_->post(std::move(message), [](const net::Message&) {});
-}
-
 void IndexService::wire_lookup(const query::Query& q, const Id& node,
                                net::Action action, bool consider_cache) {
   bus_->exchange(wire_request(action, node, q), [&](const net::Message& m) {
@@ -106,16 +97,24 @@ Id IndexService::insert_interned(const query::Query* s, const query::Query* t,
     throw InvariantError("index insert: no live replica for key of '" +
                          s->canonical() + "'");
   }
-  for (const Id& replica : targets) {
-    state_at(replica).add_interned(s, t, now);
-    if (bus_ != nullptr) {
-      // The primary gets the publish; further copies are replication pushes.
-      wire_publish(replica == targets.front() ? net::Action::kPublish
-                                              : net::Action::kReplicate,
-                   replica, s, t);
-    }
-  }
+  for (const Id& replica : targets) place(replica, s, t, now, replica == targets.front());
   return targets.front();
+}
+
+void IndexService::place(const Id& node, const query::Query* source,
+                         const query::Query* target, std::uint64_t now, bool primary) {
+  IndexNodeState* state = find_state(node);
+  if (state == nullptr) state = &state_at(node);
+  state->add_interned(source, target, now);
+  if (bus_ != nullptr) {
+    // The primary gets the publish; further copies are replication pushes.
+    // The frame carries both canonical forms and is acknowledged by the node.
+    net::Message message = net::Message::request(
+        primary ? net::Action::kPublish : net::Action::kReplicate, Id{}, node);
+    message.payload.push_back(source->canonical());
+    message.payload.push_back(target->canonical());
+    bus_->post(std::move(message), [](const net::Message&) {});
+  }
 }
 
 std::size_t IndexService::expire(std::uint64_t cutoff) {

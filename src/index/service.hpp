@@ -15,6 +15,10 @@
 // The service owns the QueryInterner every per-node state and shortcut cache
 // interns through: one immutable Query instance per distinct query across the
 // whole index, with lookups, replies, and caches passing `const Query*` refs.
+//
+// Every published mapping lands through place(), the per-node apply that
+// insert_interned and the op pipeline (sim::build_world) share, so each
+// publish and replicate frame is built in one place.
 #pragma once
 
 #include <memory>
@@ -56,10 +60,18 @@ class IndexService {
   Id insert(const query::Query& source, const query::Query& target, std::uint64_t now = 0);
 
   /// insert() for callers that already hold refs from this service's interner
-  /// (builder mapping plans, rebalance): skips the intern probe and reuses
-  /// the refs' pre-computed DHT keys.
+  /// (index_file, republish): skips the intern probe and reuses the refs'
+  /// pre-computed DHT keys. Each write node's copy is placed by place().
   Id insert_interned(const query::Query* source, const query::Query* target,
                      std::uint64_t now = 0);
+
+  /// The per-node apply of a publish: adds the mapping to `node`'s partition
+  /// at once and, with a bus attached, posts its one-way frame (kPublish on
+  /// the primary write node, kReplicate on the others). No covering check.
+  /// Creates the partition only when the node has none, so concurrent
+  /// appliers are safe once every partition exists.
+  void place(const Id& node, const query::Query* source, const query::Query* target,
+             std::uint64_t now, bool primary);
 
   /// Drops every mapping whose refresh stamp is older than `cutoff` on every
   /// node (soft-state expiry). Returns the number of mappings removed.
@@ -221,13 +233,6 @@ class IndexService {
   /// Builds the request leg of an index RPC carrying `q` (client → node).
   net::Message wire_request(net::Action action, const Id& node,
                             const query::Query& q) const;
-
-  /// Posts the one-way wire record of a publish/replicate placement. The
-  /// mapping itself is applied by the caller (publishes must be readable
-  /// back immediately by the builder's cascade); the frame carries the
-  /// source and target canonical forms and is acknowledged by the replica.
-  void wire_publish(net::Action action, const Id& node, const query::Query* source,
-                    const query::Query* target);
 
   /// Runs the remove RPC against one replica; the response leg reports
   /// whether the mapping existed there.

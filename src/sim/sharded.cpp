@@ -77,16 +77,17 @@ struct InternRequests {
   /// or a worker-local pending slot, taking `q` (moved or copied) only when
   /// it is new: an interned query flowing back through a recorded delta costs
   /// one probe and no copy. The probe is safe concurrently: the pool only
-  /// grows in the serial intern sub-phase between parallel phases.
+  /// grows in the serial intern sub-phase between parallel phases. Returns
+  /// the pooled instance or the pending copy, valid until the next resolve.
   template <typename Q>
-  void resolve(const query::QueryInterner& interner, Q&& q, const Query*& ref,
-               std::uint32_t& pending_slot) DHTIDX_REQUIRES(phase_) {
+  const Query& resolve(const query::QueryInterner& interner, Q&& q, const Query*& ref,
+                       std::uint32_t& pending_slot) DHTIDX_REQUIRES(phase_) {
     if (const Query* existing = interner.find_existing(q)) {
       ref = existing;
       pending_slot = kNoPending;
-      return;
+      return *existing;
     }
-    enqueue(Query{std::forward<Q>(q)}, ref, pending_slot);
+    return enqueue(Query{std::forward<Q>(q)}, ref, pending_slot);
   }
 
   /// The serial intern sub-phase: the only writes the shared pool ever sees.
@@ -107,19 +108,18 @@ struct InternRequests {
   }
 
  private:
-  void enqueue(Query&& q, const Query*& ref, std::uint32_t& pending_slot)
+  const Query& enqueue(Query&& q, const Query*& ref, std::uint32_t& pending_slot)
       DHTIDX_REQUIRES(phase_) {
+    ref = nullptr;
     const std::string canonical = q.canonical();
     const auto it = pending_index.find(canonical);
     if (it != pending_index.end()) {
-      ref = nullptr;
       pending_slot = it->second;
-      return;
+      return pending[pending_slot];
     }
     pending_slot = static_cast<std::uint32_t>(pending.size());
     pending_index.emplace(canonical, pending_slot);
-    pending.push_back(std::move(q));
-    ref = nullptr;
+    return pending.emplace_back(std::move(q));
   }
 };
 
@@ -131,6 +131,7 @@ struct Op {
   std::uint64_t vt = 0;
   std::uint32_t seq = 0;
   bool is_store = false;  ///< store a record replica vs publish a mapping
+  bool primary = false;   ///< publish ops: `node` is the source key's first write node
   Id node;                ///< the owning node this op applies to
   // Store ops: the record's DHT key and its index in the producer's epoch
   // record buffer.
@@ -358,10 +359,13 @@ void FeedTotals::merge(const FeedTotals& other) {
   ledger.merge(other.ledger);
 }
 
-void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
-                           index::IndexService& service, storage::DhtStore& store,
-                           const biblio::ArticleStream& stream) {
+template <typename Articles>
+void build_world(const SimulationConfig& config, dht::Dht& dht, index::IndexService& service,
+                 storage::DhtStore& store, const Articles& articles) {
   const std::size_t shards = std::max<std::size_t>(config.shards, 1);
+  if (shards > 1 && (service.bus() != nullptr || store.bus() != nullptr)) {
+    throw InvariantError("a build with a message bus runs on one shard");
+  }
   const index::IndexingScheme scheme = index::IndexingScheme::make(config.scheme);
   query::QueryInterner& interner = service.interner();
 
@@ -376,7 +380,7 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
   }
 
   std::vector<Producer> producers(shards);
-  const std::size_t total = stream.size();
+  const std::size_t total = articles.size();
 
   for (std::size_t epoch_start = 0; epoch_start < total; epoch_start += kBuildEpoch) {
     const std::size_t epoch_end = std::min(total, epoch_start + kBuildEpoch);
@@ -385,7 +389,7 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
       producer.reset(shards);
     }
 
-    // (produce) -- synthesize articles, compute placements, emit operations.
+    // (produce) -- take the articles, compute placements, emit operations.
     // Producer p owns articles i with i % S == p, walked in increasing i, so
     // each queue is (vt, seq)-sorted by construction.
     run_workers(shards, [&](std::size_t p) {
@@ -394,7 +398,7 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
       producer.interns.phase_.assert_exclusive();
       for (std::size_t i = epoch_start; i < epoch_end; ++i) {
         if (i % shards != p) continue;
-        const biblio::Article article = stream.article(i);
+        const biblio::Article& article = articles.article(i);
         const xml::Element descriptor = article.descriptor();
         const Query msd = Query::most_specific(descriptor);
         std::uint32_t seq = 0;
@@ -416,21 +420,25 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
           producer.queues[shard_map.shard_of(op.node)].push_back(op);
         }
 
-        // The scheme's mappings, one op per write node of the source key.
+        // The scheme's mappings, one op per write node of the source key. A
+        // pooled source lends its warm key; only a new one is hashed.
         std::vector<index::Mapping> mappings = scheme.mappings_for(msd);
         for (index::Mapping& m : mappings) {
-          const Id source_key = m.source.key();
           Op op;
           op.vt = i;
-          producer.interns.resolve(interner, std::move(m.source), op.source,
-                                   op.source_pending);
+          const Id source_key = producer.interns
+                                    .resolve(interner, std::move(m.source), op.source,
+                                             op.source_pending)
+                                    .key();
           producer.interns.resolve(interner, std::move(m.target), op.target,
                                    op.target_pending);
-          for (const Id& replica : dht::write_nodes(dht, source_key, service.replication(),
-                                                    service.failures())) {
+          const std::vector<Id> replicas = dht::write_nodes(
+              dht, source_key, service.replication(), service.failures());
+          for (const Id& replica : replicas) {
             Op placed = op;
             placed.seq = seq++;
             placed.node = replica;
+            placed.primary = replica == replicas.front();
             producer.queues[shard_map.shard_of(replica)].push_back(placed);
           }
         }
@@ -446,7 +454,7 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
     }
 
     // (apply) -- worker t drains the S queues addressed to its shard with an
-    // S-way merge by (vt, seq), applying each operation to the owned node.
+    // S-way merge by (vt, seq), placing each operation on the owned node.
     run_workers(shards, [&](std::size_t t) {
       std::vector<const std::vector<Op>*> queues;
       queues.reserve(shards);
@@ -463,18 +471,27 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
         producer.phase_.assert_shared();  // read-only rights, shared with peers
         producer.interns.phase_.assert_shared();
         if (op.is_store) {
-          storage::NodeStore* node_store = store.find_node_store(op.node);
-          node_store->put(op.key, producer.records[op.record]);
+          store.place(op.node, op.key, producer.records[op.record]);
         } else {
-          const Query* source = producer.interns.ref_of(op.source, op.source_pending);
-          const Query* target = producer.interns.ref_of(op.target, op.target_pending);
           // No covering check here: the scheme guarantees source ⊒ target by
           // construction and the DHTIDX_AUDIT pass re-verifies it.
-          service.find_state(op.node)->add_interned(source, target, 0);
+          service.place(op.node, producer.interns.ref_of(op.source, op.source_pending),
+                        producer.interns.ref_of(op.target, op.target_pending), 0, op.primary);
         }
       });
     });
   }
+}
+
+template void build_world(const SimulationConfig&, dht::Dht&, index::IndexService&,
+                          storage::DhtStore&, const biblio::Corpus&);
+template void build_world(const SimulationConfig&, dht::Dht&, index::IndexService&,
+                          storage::DhtStore&, const biblio::ArticleStream&);
+
+void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
+                           index::IndexService& service, storage::DhtStore& store,
+                           const biblio::ArticleStream& stream) {
+  build_world(config, dht, service, store, stream);
 }
 
 FeedTotals feed_world(const SimulationConfig& config, dht::Dht& dht,

@@ -1,9 +1,9 @@
-// Streaming world source and the one feed engine (DESIGN.md sections 12 and
+// The one build pipeline and the one feed engine (DESIGN.md sections 12 and
 // 15 have the full rules).
 //
-// sim::run_simulation is the one simulation entry point: it builds a
-// materialized biblio::Corpus through IndexBuilder or a streaming world
-// through build_streaming_world, feeds either through feed_world, and fills
+// sim::run_simulation is the one simulation entry point: it builds every
+// world through build_world, from a materialized biblio::Corpus or a
+// streaming biblio::ArticleStream, feeds it through feed_world, and fills
 // SimulationResults from the FeedTotals the engine returns.
 //
 // A streaming world never materializes its workload: articles and queries
@@ -18,7 +18,10 @@
 //    owner-shard) queues; (intern) the calling thread interns the epoch's
 //    new queries, the only writes the shared interner sees; (apply) each
 //    worker merges its shard's queues by (vt, seq) -- the sequential build's
-//    total order, so results are bit-identical for every S.
+//    total order, so results are bit-identical for every S -- and places
+//    each op with DhtStore::place or IndexService::place, which post the
+//    store and publish frames when a bus is attached. A world with a bus
+//    builds at S = 1, in IndexBuilder::index_file's order and frames.
 //  - Feed = the same pattern in epochs of queries, whose length the world
 //    sets: 1 for a materialized world, kFeedEpoch (1,024) for a cached
 //    streaming world, the whole feed for a cacheless one. The world's events
@@ -51,9 +54,17 @@
 
 namespace dhtidx::sim {
 
-/// Builds the full index and record store for a streaming world using
-/// config.shards producers/appliers. Exposed so tests can audit a sharded
-/// build directly. `service` and `store` must be empty and share `dht`.
+/// The one build: the full index and record store of a world from its
+/// articles, a biblio::Corpus or a biblio::ArticleStream (instantiated for
+/// both), using config.shards producers/appliers. `service` and `store` must
+/// be empty and share `dht`. A bus on either requires one shard
+/// (InvariantError otherwise).
+template <typename Articles>
+void build_world(const SimulationConfig& config, dht::Dht& dht, index::IndexService& service,
+                 storage::DhtStore& store, const Articles& articles);
+
+/// build_world over a streaming world's articles. Exposed so tests and
+/// benchmarks can build and audit a sharded world directly.
 void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                            index::IndexService& service, storage::DhtStore& store,
                            const biblio::ArticleStream& stream);

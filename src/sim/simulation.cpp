@@ -105,6 +105,10 @@ std::vector<Id> sample_nodes(const dht::Dht& dht, std::uint64_t seed, double fra
 
 /// Every configuration the driver rejects, checked before anything is built.
 void check_config(const SimulationConfig& config, const biblio::Corpus* shared_corpus) {
+  // Every per-query average divides by the feed length, and every key needs
+  // a node to live on.
+  if (config.queries == 0) throw InvariantError("simulation needs at least one query");
+  if (config.nodes == 0) throw InvariantError("simulation needs at least one node");
   if (config.chaos.enabled()) {
     if (config.transport != TransportKind::kEventQueue) {
       throw InvariantError(
@@ -195,15 +199,16 @@ SimulationResults run_simulation(const SimulationConfig& config,
     bus->set_retry_policy(config.retry);
     event_queue->set_chaos(&*injector);
   }
+  // The publisher of churn runs' republish rounds, and the audit's scheme.
   index::IndexBuilder builder{service, store, index::IndexingScheme::make(config.scheme)};
 
+  // One build path for both world sources; on an event-queue world it posts
+  // index_file's frames in index_file's order.
   const auto build_start = std::chrono::steady_clock::now();
   if (stream) {
-    build_streaming_world(config, ring, service, store, *stream);
+    build_world(config, ring, service, store, *stream);
   } else {
-    for (const biblio::Article& article : corpus->articles()) {
-      builder.index_file(article.descriptor(), article.file_name(), article.file_bytes);
-    }
+    build_world(config, ring, service, store, *corpus);
   }
   if (bus) bus->sync();  // flush publish/store frames queued during the build
   const double build_wall_s = wall_seconds_since(build_start);

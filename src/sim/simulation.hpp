@@ -6,12 +6,13 @@
 // with 50,000 queries from our query generator."
 //
 // run_simulation is the one simulation driver. It checks the config once,
-// builds the world from one of two sources -- a materialized Corpus indexed
-// through IndexBuilder, or the streaming ArticleStream built by
-// build_streaming_world -- feeds it through the one feed engine, feed_world
-// (sim/sharded.hpp), with the churn and chaos schedule as events at epoch
+// builds the world from one of two sources -- a materialized Corpus or the
+// streaming ArticleStream -- through the one build pipeline, build_world,
+// feeds it through the one feed engine, feed_world (both in
+// sim/sharded.hpp), with the churn and chaos schedule as events at epoch
 // starts, and fills SimulationResults, every metric of Figures 11-15 and
-// Table I, from the FeedTotals the engine returns.
+// Table I, from the FeedTotals the engine returns. IndexBuilder only
+// republishes, in churn runs.
 #pragma once
 
 #include <optional>

@@ -54,13 +54,19 @@ StoreResult DhtStore::put(const Id& key, const Record& record) {
   const std::vector<Id> targets = dht::write_nodes(dht_, key, replication_, failures_);
   for (const Id& replica : targets) {
     net::active(ledger_).queries.record(request_bytes);
-    if (bus_ != nullptr) {
-      bus_->post(wire_message(net::Action::kStore, replica, key, &record),
-                 [](const net::Message&) {});
-    }
-    stores_[replica].put(key, record);
+    place(replica, key, record);
   }
   return StoreResult{targets.empty() ? Id{} : targets.front()};
+}
+
+void DhtStore::place(const Id& node, const Id& key, const Record& record) {
+  if (bus_ != nullptr) {
+    bus_->post(wire_message(net::Action::kStore, node, key, &record),
+               [](const net::Message&) {});
+  }
+  NodeStore* store = find_node_store(node);
+  if (store == nullptr) store = &node_store(node);
+  store->put(key, record);
 }
 
 DhtStore::GetResult DhtStore::get(const Id& key) {

@@ -40,8 +40,15 @@ class DhtStore {
 
   /// Stores a copy of `record` on each of the key's write nodes
   /// (dht::write_nodes): the responsible node and its replicas, skipping
-  /// crashed candidates.
+  /// crashed candidates. Each copy is charged as a query.
   StoreResult put(const Id& key, const Record& record);
+
+  /// The per-node apply of a store, shared by put() and the op pipeline
+  /// (sim::build_world): posts the kStore frame when a bus is attached and
+  /// appends the record. Charges no traffic. Creates the node's store only
+  /// when it has none, so concurrent appliers are safe once every store
+  /// exists.
+  void place(const Id& node, const Id& key, const Record& record);
 
   /// Fetches all records under `key`. The responsible node is asked first;
   /// when it has nothing (e.g. it lost its store in a crash), the remaining

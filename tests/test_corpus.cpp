@@ -3,9 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
+#include <string_view>
+#include <vector>
 
+#include "audit/audit.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "dht/ring.hpp"
+#include "index/service.hpp"
+#include "sim/sharded.hpp"
+#include "storage/dht_store.hpp"
 #include "xml/parser.hpp"
 
 namespace dhtidx::biblio {
@@ -223,6 +232,134 @@ TEST(Corpus, RejectsZeroCounts) {
   CorpusConfig config;
   config.articles = 0;
   EXPECT_THROW(Corpus::generate(config), InvariantError);
+}
+
+/// Hostile variants of a corpus document, from a fixed seed: every
+/// truncation of its first 4 KB, 6,000 one-byte flips, insertions and
+/// deletions, and the field edits a tamperer would try.
+std::vector<std::string> corpus_mutants(const std::string& document) {
+  std::vector<std::string> mutants;
+  for (std::size_t n = 0; n < std::min<std::size_t>(document.size(), 4096); ++n) {
+    mutants.push_back(document.substr(0, n));
+  }
+  // Half the inserted bytes are ones the XML parser, the character-reference
+  // decoder or the number parser gives a meaning to; the rest are arbitrary.
+  constexpr std::string_view kSignificant = "<>/=\"'&#;x!?[]-+ 09";
+  Rng rng{0xc0a905};
+  for (int i = 0; i < 6000; ++i) {
+    std::string mutant = document;
+    const std::size_t pos = rng.next_index(mutant.size());
+    switch (i % 3) {
+      case 0:
+        mutant[pos] = static_cast<char>(mutant[pos] ^ (1 << rng.next_below(8)));
+        break;
+      case 1:
+        mutant.insert(pos, 1,
+                      rng.next_bool(0.5) ? kSignificant[rng.next_index(kSignificant.size())]
+                                         : static_cast<char>(rng.next_below(256)));
+        break;
+      default:
+        mutant.erase(pos, 1);
+        break;
+    }
+    mutants.push_back(std::move(mutant));
+  }
+
+  // Field edits, each applied to the first occurrence of the element.
+  const auto with_element = [&](std::string_view name, std::string_view replacement) {
+    const std::string open = "<" + std::string{name} + ">";
+    const std::string close = "</" + std::string{name} + ">";
+    const std::size_t start = document.find(open);
+    const std::size_t end = document.find(close, start) + close.size();
+    std::string mutant = document;
+    mutant.replace(start, end - start, replacement);
+    return mutant;
+  };
+  const auto with_text = [&](std::string_view name, std::string_view text) {
+    return with_element(name, "<" + std::string{name} + ">" + std::string{text} + "</" +
+                                  std::string{name} + ">");
+  };
+  mutants.push_back(with_element("first", ""));
+  mutants.push_back(with_element("last", ""));
+  for (const std::string_view year :
+       {"-2003", "+2003", "", " ", "20 03", "99999999999", "2003x"}) {
+    mutants.push_back(with_text("year", year));
+  }
+  for (const std::string_view size : {"-1", "+1", "", " ", "1 2", "18446744073709551616",
+                                      "99999999999999999999999", "12kb"}) {
+    mutants.push_back(with_text("size", size));
+  }
+  for (const std::string_view title :
+       {"&#;", "&#x;", "&#0;", "&#x110000;", "&#xD800;", "&#99999999999;", "&;", "&amp",
+        "&bogus;", "T&#x5D;/article[", "]*^=//"}) {
+    mutants.push_back(with_text("title", title));
+  }
+  return mutants;
+}
+
+TEST(CorpusMutation, EveryMutantLoadsOrThrowsTypedError) {
+  // Corpus::from_xml reads untrusted descriptors, and the build places each
+  // scheme mapping with no covers() check of its own: it relies on
+  // IndexingScheme's rules covering by construction. Each mutant either
+  // throws a dhtidx::Error subtype, or loads and then builds under every
+  // evaluation scheme with each mapping covering its target and sitting on
+  // its key's replica set.
+  CorpusConfig config;
+  config.articles = 5;
+  config.authors = 4;
+  config.conferences = 3;
+  const std::string document = Corpus::generate(config).to_xml();
+  ASSERT_GT(document.size(), 1000u);
+
+  audit::Options options;
+  options.check_reachability = false;
+  options.check_acyclicity = false;
+  options.check_cache_coherence = false;
+  options.check_snapshot = false;
+  options.check_replica_consistency = false;
+  options.check_ledger = false;
+  options.check_convergence = false;
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  const std::vector<std::string> mutants = corpus_mutants(document);
+  for (std::size_t i = 0; i < mutants.size(); ++i) {
+    std::optional<Corpus> corpus;
+    try {
+      corpus.emplace(Corpus::from_xml(mutants[i]));
+    } catch (const Error&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " escaped as a non-dhtidx exception: " << e.what();
+      continue;
+    }
+    ++loaded;
+    for (const index::SchemeKind scheme :
+         {index::SchemeKind::kSimple, index::SchemeKind::kComplex, index::SchemeKind::kFlat}) {
+      sim::SimulationConfig world;
+      world.nodes = 16;
+      world.scheme = scheme;
+      world.replication = 2;
+      net::TrafficLedger ledger;
+      dht::Ring ring = dht::Ring::with_nodes(world.nodes);
+      storage::DhtStore store{ring, ledger, world.replication};
+      index::IndexService service{ring, ledger, 0, world.replication};
+      try {
+        sim::build_world(world, ring, service, store, *corpus);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutant " << i << " loaded but failed to build under "
+                      << index::to_string(scheme) << ": " << e.what();
+        continue;
+      }
+      const audit::Report report = audit::Auditor{ring, service, store, options}.run();
+      EXPECT_EQ(report.section(audit::Invariant::kCovering).violations, 0u)
+          << "mutant " << i << ", " << index::to_string(scheme);
+      EXPECT_EQ(report.section(audit::Invariant::kPlacement).violations, 0u)
+          << "mutant " << i << ", " << index::to_string(scheme);
+    }
+  }
+  EXPECT_GT(loaded, 1000u);
+  EXPECT_GT(rejected, 3000u);
 }
 
 }  // namespace

@@ -3,19 +3,24 @@
 // covering signature. Both must stay exact on each path that changes an
 // index: add and republish, remove, soft-state expiry, churn repair and the
 // sharded streaming build. The last test pins that the two build drivers
-// place the same world.
+// place the same world and post the same frames.
 #include "index/node_state.hpp"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "biblio/corpus.hpp"
 #include "biblio/stream.hpp"
+#include "common/error.hpp"
 #include "dht/ring.hpp"
 #include "index/builder.hpp"
 #include "index/service.hpp"
+#include "net/bus.hpp"
+#include "net/codec.hpp"
+#include "net/transport.hpp"
 #include "sim/sharded.hpp"
 #include "storage/dht_store.hpp"
 
@@ -169,10 +174,40 @@ std::vector<std::string> node_contents(const IndexService& service,
   return lines;
 }
 
+/// An event-queue wire layer that keeps the encoded bytes of every frame
+/// sent, in send order.
+class RecordedWire final : public net::Transport {
+ public:
+  RecordedWire() { queue.set_sink(&bus); }
+  RecordedWire(const RecordedWire&) = delete;  // the bus and the queue hold its address
+  RecordedWire& operator=(const RecordedWire&) = delete;
+
+  const char* name() const override { return queue.name(); }
+  std::uint64_t send(const net::Message& message) override {
+    frames.push_back(net::codec::encode(message));
+    return queue.send(message);
+  }
+  void pump() override { queue.pump(); }
+  bool idle() const override { return queue.idle(); }
+  void wait(double ms) override { queue.wait(ms); }
+
+  void attach(IndexService& service, storage::DhtStore& store) {
+    service.set_bus(&bus);
+    store.set_bus(&bus);
+  }
+
+  net::EventQueueTransport queue;
+  net::MessageBus bus{*this};
+  std::vector<std::string> frames;
+};
+
 TEST(BuildDrivers, IndexFileAndShardedBuildPlaceTheSameWorld) {
   // The materialized driver (IndexBuilder::index_file, one placement at a
-  // time) and the epoch pipeline (build_streaming_world, placements merged
+  // time) and the op pipeline (build_streaming_world, placements merged
   // across shards) must leave every node with the same entries and records.
+  // At one shard, with a message bus on each side, they must also post the
+  // same store, publish and replicate frames: the same bytes in the same
+  // order, and the same virtual clock once each bus is synced.
   for (const std::size_t replication : {1u, 3u}) {
     sim::SimulationConfig config;
     config.nodes = 64;
@@ -185,13 +220,20 @@ TEST(BuildDrivers, IndexFileAndShardedBuildPlaceTheSameWorld) {
     dht::Ring ring = dht::Ring::with_nodes(config.nodes);
     storage::DhtStore store{ring, ledger, replication};
     IndexService service{ring, ledger, config.cache_capacity, replication};
+    RecordedWire wire;
+    wire.attach(service, store);
     IndexBuilder builder{service, store, IndexingScheme::make(config.scheme)};
+    BuildStats stats;
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const biblio::Article article = stream.article(i);
-      builder.index_file(article.descriptor(), article.file_name(), article.file_bytes);
+      builder.index_file(article.descriptor(), article.file_name(), article.file_bytes,
+                         &stats);
     }
+    wire.bus.sync();
     ASSERT_GT(service.totals().mappings, stream.size());
     ASSERT_EQ(store.total_records(), stream.size() * replication);
+    // One frame per record copy and one per mapping copy.
+    ASSERT_EQ(wire.bus.posts(), (stats.files + stats.mappings_inserted) * replication);
 
     for (const std::size_t shards : {1u, 2u}) {
       config.streaming = true;
@@ -199,7 +241,25 @@ TEST(BuildDrivers, IndexFileAndShardedBuildPlaceTheSameWorld) {
       net::TrafficLedger sharded_ledger;
       storage::DhtStore sharded_store{ring, sharded_ledger, replication};
       IndexService sharded{ring, sharded_ledger, config.cache_capacity, replication};
+      std::optional<RecordedWire> sharded_wire;
+      if (shards == 1) sharded_wire.emplace().attach(sharded, sharded_store);
       sim::build_streaming_world(config, ring, sharded, sharded_store, stream);
+      if (sharded_wire) {
+        sharded_wire->bus.sync();
+        EXPECT_EQ(sharded_wire->bus.posts(), wire.bus.posts())
+            << "replication " << replication;
+        EXPECT_EQ(sharded_wire->queue.clock_ms(), wire.queue.clock_ms())
+            << "replication " << replication;
+        ASSERT_EQ(sharded_wire->frames.size(), wire.frames.size())
+            << "replication " << replication;
+        for (std::size_t f = 0; f < wire.frames.size(); ++f) {
+          if (sharded_wire->frames[f] != wire.frames[f]) {
+            ADD_FAILURE() << "replication " << replication << ": frame " << f
+                          << " of " << wire.frames.size() << " differs";
+            break;
+          }
+        }
+      }
       for (const Id& node : ring.node_ids()) {
         EXPECT_EQ(node_contents(service, store, node),
                   node_contents(sharded, sharded_store, node))
@@ -208,6 +268,26 @@ TEST(BuildDrivers, IndexFileAndShardedBuildPlaceTheSameWorld) {
       }
     }
   }
+}
+
+TEST(BuildDrivers, ABuildWithABusRunsOnOneShard) {
+  // MessageBus is single-threaded, so the pipeline refuses to post from
+  // several appliers.
+  sim::SimulationConfig config;
+  config.nodes = 8;
+  config.corpus.articles = 10;
+  config.streaming = true;
+  config.shards = 2;
+  const biblio::ArticleStream stream{config.corpus};
+  net::TrafficLedger ledger;
+  dht::Ring ring = dht::Ring::with_nodes(config.nodes);
+  storage::DhtStore store{ring, ledger};
+  IndexService service{ring, ledger};
+  RecordedWire wire;
+  wire.attach(service, store);
+  EXPECT_THROW(sim::build_streaming_world(config, ring, service, store, stream),
+               InvariantError);
+  EXPECT_EQ(wire.bus.posts(), 0u);
 }
 
 }  // namespace

@@ -189,6 +189,20 @@ TEST_F(BuilderTest, RemoveFileKeepsSharedEntries) {
   EXPECT_TRUE(service_.lookup(article_b().author_title_query()).targets.empty());
 }
 
+TEST_F(BuilderTest, RemoveFileOfAnUnindexedFileInternsNothing) {
+  // b shares a's author, so one of its mapping queries is pooled; c shares
+  // nothing. Neither was indexed: removing them must not grow the pool (a
+  // lookup of absent queries never interns) and removes no mapping.
+  builder_.index_file(article_a().descriptor(), "a.pdf", 100, nullptr);
+  const std::size_t pooled = service_.interner().size();
+  const std::size_t mappings = service_.totals().mappings;
+  EXPECT_EQ(builder_.remove_file(article_b().descriptor()), 0u);
+  EXPECT_EQ(builder_.remove_file(article_c().descriptor()), 0u);
+  EXPECT_EQ(service_.interner().size(), pooled);
+  EXPECT_EQ(service_.totals().mappings, mappings);
+  EXPECT_EQ(service_.lookup(article_a().author_query()).targets.size(), 1u);
+}
+
 TEST_F(BuilderTest, ReindexAfterRemoveRestoresAccess) {
   const biblio::Article a = article_a();
   builder_.index_file(a.descriptor(), "a.pdf", 100, nullptr);

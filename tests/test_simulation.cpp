@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
+
 namespace dhtidx::sim {
 namespace {
 
@@ -185,6 +187,21 @@ TEST(Simulation, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a.hit_ratio, b.hit_ratio);
   EXPECT_EQ(a.non_indexed_queries, b.non_indexed_queries);
   EXPECT_EQ(a.ledger.total_bytes(), b.ledger.total_bytes());
+}
+
+TEST(Simulation, RejectsAnEmptyFeedOrNetworkBeforeBuilding) {
+  // Every per-query average divides by the feed length, and a key needs a
+  // node. Both are config errors, found before the corpus is generated or a
+  // node is placed, on either world source.
+  for (const bool streaming : {false, true}) {
+    SimulationConfig config = small_config(SchemeKind::kSimple, CachePolicy::kNone);
+    config.streaming = streaming;
+    config.queries = 0;
+    EXPECT_THROW(run_simulation(config), InvariantError) << "streaming " << streaming;
+    config.queries = 100;
+    config.nodes = 0;
+    EXPECT_THROW(run_simulation(config), InvariantError) << "streaming " << streaming;
+  }
 }
 
 TEST(Simulation, ConfigLabel) {
