@@ -19,6 +19,7 @@
 #include "index/builder.hpp"
 #include "index/lookup.hpp"
 #include "net/codec.hpp"
+#include "query/interner.hpp"
 #include "query/query.hpp"
 #include "workload/streaming.hpp"
 
@@ -154,75 +155,86 @@ void BM_SchemeMappings(benchmark::State& state) {
 }
 BENCHMARK(BM_SchemeMappings);
 
+/// `count` pooled sources "/article/title/<prefix><i>", the refs the cache
+/// benchmarks probe with.
+std::vector<const query::Query*> pooled_titles(query::QueryInterner& pool,
+                                               const std::string& prefix, int count) {
+  std::vector<const query::Query*> out;
+  for (int i = 0; i < count; ++i) {
+    out.push_back(pool.intern(query::Query::parse("/article/title/" + prefix +
+                                                  std::to_string(i))));
+  }
+  return out;
+}
+
 void BM_ShortcutCacheInsertFind(benchmark::State& state) {
+  query::QueryInterner pool;
   index::ShortcutCache cache{static_cast<std::size_t>(state.range(0))};
-  const query::Query target = query::Query::parse("/article[title=T][year=2000]");
-  std::uint64_t i = 0;
+  const query::Query* target =
+      pool.intern(query::Query::parse("/article[title=T][year=2000]"));
+  const std::vector<const query::Query*> sources = pooled_titles(pool, "T", 1000);
+  std::size_t i = 0;
   for (auto _ : state) {
-    const query::Query source =
-        query::Query::parse("/article/title/T" + std::to_string(i++ % 1000));
+    const query::Query* source = sources[i++ % sources.size()];
     cache.insert(source, target);
-    benchmark::DoNotOptimize(cache.find(source));
+    benchmark::DoNotOptimize(cache.targets_of(source));
   }
 }
 BENCHMARK(BM_ShortcutCacheInsertFind)->Arg(0)->Arg(30);
 
-// Steady-state shortcut-cache probes with pre-parsed queries: a hit on a
-// populated cache (find + touch, the jump path of resolve()) and a miss
-// (find on a source the cache has never seen).
+// Steady-state shortcut-cache probes on pool refs, as LookupEngine::resolve
+// makes them: a hit on a populated cache (contains + touch, the jump path)
+// and a miss (contains + bucket_size, the non-indexed-error test) on a source
+// the cache has never seen.
 void BM_ShortcutCacheHit(benchmark::State& state) {
+  query::QueryInterner pool;
   index::ShortcutCache cache{0};
-  const query::Query target = query::Query::parse("/article[title=T][year=2000]");
-  std::vector<query::Query> sources;
-  for (int i = 0; i < 1000; ++i) {
-    sources.push_back(query::Query::parse("/article/title/T" + std::to_string(i)));
-    cache.insert(sources.back(), target);
-  }
+  const query::Query* target =
+      pool.intern(query::Query::parse("/article[title=T][year=2000]"));
+  const std::vector<const query::Query*> sources = pooled_titles(pool, "T", 1000);
+  for (const query::Query* source : sources) cache.insert(source, target);
   std::size_t i = 0;
   for (auto _ : state) {
-    const query::Query& source = sources[i++ % sources.size()];
-    benchmark::DoNotOptimize(cache.find(source));
+    const query::Query* source = sources[i++ % sources.size()];
+    benchmark::DoNotOptimize(cache.contains(source, target));
     cache.touch(source, target);
   }
 }
 BENCHMARK(BM_ShortcutCacheHit);
 
 void BM_ShortcutCacheMiss(benchmark::State& state) {
+  query::QueryInterner pool;
   index::ShortcutCache cache{0};
-  const query::Query target = query::Query::parse("/article[title=T][year=2000]");
-  for (int i = 0; i < 1000; ++i) {
-    cache.insert(query::Query::parse("/article/title/T" + std::to_string(i)), target);
+  const query::Query* target =
+      pool.intern(query::Query::parse("/article[title=T][year=2000]"));
+  for (const query::Query* source : pooled_titles(pool, "T", 1000)) {
+    cache.insert(source, target);
   }
-  std::vector<query::Query> absent;
-  for (int i = 0; i < 1000; ++i) {
-    absent.push_back(query::Query::parse("/article/title/M" + std::to_string(i)));
-  }
+  const std::vector<const query::Query*> absent = pooled_titles(pool, "M", 1000);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.find(absent[i++ % absent.size()]));
+    const query::Query* source = absent[i++ % absent.size()];
+    benchmark::DoNotOptimize(cache.contains(source, target));
+    benchmark::DoNotOptimize(cache.bucket_size(source));
   }
 }
 BENCHMARK(BM_ShortcutCacheMiss);
 
-// An epoch's worth of cache deltas replayed through the interned apply API
-// (PR 10): the per-delta cost of the sharded feed's apply sub-phase, with the
-// intern probe already paid during the serial intern step. Pointer-identity
-// touch/insert against a live LRU list, no hashing of query text.
+// An epoch's worth of cache deltas replayed through the apply API: the
+// per-delta cost of the sharded feed's apply sub-phase, with the intern probe
+// already paid during the serial intern step. Pointer-identity touch/insert
+// against a live LRU list, no hashing of query text.
 void BM_CacheApplyEpoch(benchmark::State& state) {
-  query::QueryInterner interner;
-  index::ShortcutCache cache{static_cast<std::size_t>(state.range(0)), &interner};
+  query::QueryInterner pool;
+  index::ShortcutCache cache{static_cast<std::size_t>(state.range(0))};
   const query::Query* target =
-      interner.intern(query::Query::parse("/article[title=T][year=2000]"));
-  std::vector<const query::Query*> sources;
-  for (int i = 0; i < 1024; ++i) {
-    sources.push_back(
-        interner.intern(query::Query::parse("/article/title/T" + std::to_string(i))));
-  }
+      pool.intern(query::Query::parse("/article[title=T][year=2000]"));
+  const std::vector<const query::Query*> sources = pooled_titles(pool, "T", 1024);
   std::size_t i = 0;
   for (auto _ : state) {
     const query::Query* source = sources[i++ % sources.size()];
-    if (!cache.insert_interned(source, target)) {
-      cache.touch_interned(source, target);
+    if (!cache.insert(source, target)) {
+      cache.touch(source, target);
     }
   }
 }
@@ -431,11 +443,12 @@ void BM_ResolveHitLargeBucket(benchmark::State& state) {
   index::IndexService service{ring, ledger};
   const query::Query source = query::Query::parse("/article/conf/INFOCOM");
   index::ShortcutCache& cache = service.state_at(service.node_for(source)).cache();
+  query::QueryInterner& pool = service.interner();
   std::vector<query::Query> msds;
   for (int i = 0; i < 1000; ++i) {
     msds.push_back(query::Query::parse("/article[conf/INFOCOM][title/T" + std::to_string(i) +
                                        "][year/1996]"));
-    cache.insert(source, msds.back());
+    cache.insert(pool.intern(source), pool.intern(msds.back()));
     store.put(msds.back().key(), storage::Record{"file", "t.pdf", 1000});
   }
   index::LookupEngine engine{service, store, {index::CachePolicy::kSingle}};

@@ -168,16 +168,20 @@ void Auditor::check_reachability(Report& report) {
 
   // Memoized responsible-node target lists, keyed by canonical query. Entry
   // queries repeat heavily across files (every article of a conference
-  // shares the conference entry query), so resolve each one once.
+  // shares the conference entry query), so resolve each one once: to its
+  // pool ref, then on the responsible node. A query the pool does not hold
+  // has no mapping anywhere.
   using TargetRefs = std::vector<index::IndexNodeState::TargetRef>;
   std::unordered_map<std::string, const TargetRefs*> targets_memo;
   const auto targets_of = [&](const query::Query& q) -> const TargetRefs* {
     const auto memo = targets_memo.find(q.canonical());
     if (memo != targets_memo.end()) return memo->second;
+    const query::Query* interned = service_.interner().find_existing(q);
     const Id node = dht_.lookup(q.key()).node;
     const auto state = service_.states().find(node);
-    const TargetRefs* targets =
-        state == service_.states().end() ? nullptr : &state->second.entry_of(q).targets;
+    const TargetRefs* targets = interned == nullptr || state == service_.states().end()
+                                    ? nullptr
+                                    : &state->second.entry_of(interned).targets;
     targets_memo.emplace(q.canonical(), targets);
     return targets;
   };
@@ -377,7 +381,7 @@ void Auditor::check_cache_coherence(Report& report) {
 
     for (const auto& [canonical, targets] : expected) {
       ++section.checked;
-      const auto bucket = cache.find(*source_of[canonical]);
+      const auto bucket = cache.targets_of(source_of[canonical]);
       bool consistent = bucket.size() == targets.size();
       for (std::size_t i = 0; consistent && i < bucket.size(); ++i) {
         consistent = bucket[i]->canonical() == targets[i]->canonical();
@@ -491,7 +495,7 @@ void Auditor::check_replica_consistency(Report& report) {
       const index::IndexNodeState* state = service_.find_state(replica);
       const std::optional<std::uint64_t> stamp =
           state == nullptr ? std::nullopt
-                           : state->refresh_stamp(*fact.source, *fact.target);
+                           : state->refresh_stamp(fact.source, fact.target);
       if (!stamp) {
         add_violation(report, Invariant::kReplicaConsistency, canonical,
                       "mapping to '" + fact.target->canonical() +

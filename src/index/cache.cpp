@@ -22,14 +22,11 @@ std::string to_string(CachePolicy policy) {
   return "?";
 }
 
-std::vector<const query::Query*> ShortcutCache::find(const query::Query& source) const {
+std::vector<const query::Query*> ShortcutCache::targets_of(
+    const query::Query* source) const {
   phase_.assert_shared();
   std::vector<const query::Query*> out;
-  // Probe-only: a miss must not grow the interner, so resolve through
-  // find_existing (a query the interner has never seen cannot be cached).
-  const query::Query* interned = interner_->find_existing(source);
-  if (interned == nullptr) return out;
-  const auto it = by_source_.find(interned);
+  const auto it = by_source_.find(source);
   if (it == by_source_.end()) return out;
   out.reserve(it->second.size());
   for (const auto& entry_it : it->second) out.push_back(entry_it->target);
@@ -45,16 +42,8 @@ std::vector<std::pair<const query::Query*, const query::Query*>> ShortcutCache::
   return out;
 }
 
-bool ShortcutCache::contains(const query::Query& source, const query::Query& target) const {
-  const query::Query* s = interner_->find_existing(source);
-  if (s == nullptr) return false;
-  const query::Query* t = interner_->find_existing(target);
-  if (t == nullptr) return false;
-  return contains_interned(s, t);
-}
-
-bool ShortcutCache::contains_interned(const query::Query* source,
-                                      const query::Query* target) const {
+bool ShortcutCache::contains(const query::Query* source,
+                             const query::Query* target) const {
   phase_.assert_shared();
   return by_key_.contains({source, target});
 }
@@ -65,14 +54,7 @@ std::size_t ShortcutCache::bucket_size(const query::Query* source) const {
   return it == by_source_.end() ? 0 : it->second.size();
 }
 
-bool ShortcutCache::insert(const query::Query& source, const query::Query& target) {
-  const query::Query* s = interner_->intern(source);
-  const query::Query* t = interner_->intern(target);
-  return insert_interned(s, t);
-}
-
-bool ShortcutCache::insert_interned(const query::Query* source,
-                                    const query::Query* target) {
+bool ShortcutCache::insert(const query::Query* source, const query::Query* target) {
   phase_.assert_exclusive();
   const auto it = by_key_.find({source, target});
   if (it != by_key_.end()) {
@@ -91,16 +73,7 @@ bool ShortcutCache::insert_interned(const query::Query* source,
   return true;
 }
 
-void ShortcutCache::touch(const query::Query& source, const query::Query& target) {
-  const query::Query* s = interner_->find_existing(source);
-  if (s == nullptr) return;
-  const query::Query* t = interner_->find_existing(target);
-  if (t == nullptr) return;
-  touch_interned(s, t);
-}
-
-void ShortcutCache::touch_interned(const query::Query* source,
-                                   const query::Query* target) {
+void ShortcutCache::touch(const query::Query* source, const query::Query* target) {
   phase_.assert_exclusive();
   const auto it = by_key_.find({source, target});
   if (it == by_key_.end()) return;
@@ -108,16 +81,7 @@ void ShortcutCache::touch_interned(const query::Query* source,
   promote_in_bucket(source, it->second);
 }
 
-bool ShortcutCache::erase(const query::Query& source, const query::Query& target) {
-  const query::Query* s = interner_->find_existing(source);
-  if (s == nullptr) return false;
-  const query::Query* t = interner_->find_existing(target);
-  if (t == nullptr) return false;
-  return erase_interned(s, t);
-}
-
-bool ShortcutCache::erase_interned(const query::Query* source,
-                                   const query::Query* target) {
+bool ShortcutCache::erase(const query::Query* source, const query::Query* target) {
   phase_.assert_exclusive();
   const auto it = by_key_.find({source, target});
   if (it == by_key_.end()) return false;
@@ -138,7 +102,6 @@ bool ShortcutCache::erase_interned(const query::Query* source,
   bucket.erase(pos);
   if (bucket.empty()) by_source_.erase(bucket_it);
   lru_.erase(entry_it);
-  ++invalidations_;
   return true;
 }
 

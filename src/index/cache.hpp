@@ -7,16 +7,13 @@
 // capacity of zero means unbounded (the paper's multi-/single-cache
 // policies), a positive capacity gives the LRU-k policies.
 //
-// Entries are interned `const Query*` refs, not deep copies: insert() interns
-// through the cache's QueryInterner (normally the one shared with the whole
-// index service), probes resolve the argument to its interned instance first
-// and then work purely on pointer identity -- no canonical-string
-// concatenation or string-keyed hashing on the hot path. The *_interned
-// variants and bucket_size() skip even the probe for callers that already
-// hold pool refs: index::apply_cache_delta, the one rule every session's
-// cache deltas go through, and LookupEngine::resolve, whose session resolves
-// its two queries once (DESIGN.md section 10). A lookup hit is then one
-// by_key_ probe, whatever the size of the source's bucket. find() copies a
+// Entries are `const Query*` refs into the index service's query pool
+// (query::QueryInterner), and every operation takes pool refs: a probe is
+// pointer identity only, with no canonical-string concatenation or
+// string-keyed hashing. Callers resolve query values through that pool
+// before they call in (DESIGN.md section 10). A lookup hit is one by_key_
+// probe, whatever the size of the source's bucket; bucket_size() answers
+// "does the key have shortcuts" without copying it. targets_of() copies a
 // bucket; only the wire response and the auditor need that.
 //
 // Concurrency contract (DESIGN.md sections 13 and 15): `phase_` is the
@@ -30,13 +27,11 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "query/interner.hpp"
 #include "query/query.hpp"
 
 namespace dhtidx::index {
@@ -68,63 +63,35 @@ std::string to_string(CachePolicy policy);
 /// One node's shortcut store.
 class ShortcutCache {
  public:
-  /// capacity == 0 means unbounded. `interner` is the shared query pool
-  /// entries are interned through (it must outlive the cache); when null the
-  /// cache owns a private interner -- the standalone-construction convenience
-  /// for tests and benchmarks.
-  explicit ShortcutCache(std::size_t capacity = 0,
-                         query::QueryInterner* interner = nullptr)
-      : own_interner_(interner == nullptr ? std::make_unique<query::QueryInterner>()
-                                          : nullptr),
-        interner_(interner != nullptr ? interner : own_interner_.get()),
-        capacity_(capacity) {}
+  /// capacity == 0 means unbounded.
+  explicit ShortcutCache(std::size_t capacity = 0) : capacity_(capacity) {}
 
   /// All targets cached under `source`, most recently used first.
   /// Does not update recency (use touch() after choosing one).
-  std::vector<const query::Query*> find(const query::Query& source) const;
+  std::vector<const query::Query*> targets_of(const query::Query* source) const;
 
   /// True when the exact (source, target) shortcut is present.
-  bool contains(const query::Query& source, const query::Query& target) const;
+  bool contains(const query::Query* source, const query::Query* target) const;
 
-  /// contains() for interner-owned refs: one by_key_ probe.
-  bool contains_interned(const query::Query* source, const query::Query* target) const;
-
-  /// Number of targets cached under the interner-owned `source` (find()'s
-  /// size, without copying the bucket).
+  /// Number of targets cached under `source` (targets_of()'s size, without
+  /// copying the bucket).
   std::size_t bucket_size(const query::Query* source) const;
 
   /// Inserts (or refreshes) a shortcut. Returns true when a new entry was
   /// created (false when it already existed and was only touched).
-  bool insert(const query::Query& source, const query::Query& target);
-
-  /// insert() for callers that already hold refs from this cache's interner
-  /// (apply_cache_delta): skips the intern probe -- the dominant cost of a
-  /// guaranteed-duplicate re-install -- and works purely on pointer identity.
-  bool insert_interned(const query::Query* source, const query::Query* target);
+  bool insert(const query::Query* source, const query::Query* target);
 
   /// Marks the entry as most recently used.
-  void touch(const query::Query& source, const query::Query& target);
-
-  /// touch() for interner-owned refs: no probe, pointer identity only.
-  void touch_interned(const query::Query* source, const query::Query* target);
+  void touch(const query::Query* source, const query::Query* target);
 
   /// Removes the exact (source, target) shortcut if present. Returns true
   /// when an entry was removed. Used to invalidate shortcuts whose target
   /// turned out to be unreachable (stale after a crash or departure).
-  bool erase(const query::Query& source, const query::Query& target);
-
-  /// erase() for interner-owned refs: no probe, pointer identity only.
-  bool erase_interned(const query::Query* source, const query::Query* target);
-
-  /// Number of entries removed via erase() so far.
-  std::uint64_t invalidations() const {
-    phase_.assert_shared();
-    return invalidations_;
-  }
+  bool erase(const query::Query* source, const query::Query* target);
 
   /// Every (source, target) shortcut in global recency order, most recently
   /// used first. Exposed for diagnostics and the audit subsystem; the
-  /// pointers are interner-owned and stay valid for the cache's lifetime.
+  /// pointers are the pool refs the entries were inserted with.
   std::vector<std::pair<const query::Query*, const query::Query*>> entries() const;
 
   /// Number of distinct source buckets currently tracked.
@@ -172,13 +139,11 @@ class ShortcutCache {
 
   void evict_lru() DHTIDX_REQUIRES(phase_);
 
-  /// Moves the entry to the front of its source bucket so find() keeps
+  /// Moves the entry to the front of its source bucket so targets_of() keeps
   /// returning targets most recently used first.
   void promote_in_bucket(const query::Query* source,
                          std::list<Entry>::iterator entry_it) DHTIDX_REQUIRES(phase_);
 
-  std::unique_ptr<query::QueryInterner> own_interner_;  // set when standalone
-  query::QueryInterner* interner_;
   std::size_t capacity_;
   /// Phase capability over the mutable cache structures: shared while the
   /// cache is a frozen epoch snapshot (parallel lookup sub-phase, metrics,
@@ -197,7 +162,6 @@ class ShortcutCache {
       by_source_ DHTIDX_GUARDED_BY(phase_);
   std::uint64_t bytes_ DHTIDX_GUARDED_BY(phase_) = 0;
   std::uint64_t evictions_ DHTIDX_GUARDED_BY(phase_) = 0;
-  std::uint64_t invalidations_ DHTIDX_GUARDED_BY(phase_) = 0;
 };
 
 }  // namespace dhtidx::index

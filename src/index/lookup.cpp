@@ -117,7 +117,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     bool key_has_cache_entries = false;
     if (caching_enabled(config_.policy) && contact.state != nullptr && pooled) {
       const ShortcutCache& cache = contact.state->cache();
-      const bool cached = msd != nullptr && cache.contains_interned(q, msd);
+      const bool cached = msd != nullptr && cache.contains(q, msd);
       // An entry this session invalidated counts as erased: no hit, and not
       // an entry of the key.
       const bool invalidated_here =
@@ -140,7 +140,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     }
 
     const IndexNodeState::SourceEntry& entry =
-        contact.state != nullptr && pooled ? contact.state->entry_of_interned(q) : kNoEntry;
+        contact.state != nullptr && pooled ? contact.state->entry_of(q) : kNoEntry;
     const std::vector<IndexNodeState::TargetRef>& targets = entry.targets;
     ledger.responses.record(entry.target_bytes + net::kMessageOverheadBytes);
 
@@ -253,10 +253,10 @@ void apply_cache_delta(IndexService& service, const Id& node, IndexNodeState& st
   ShortcutCache& cache = state.cache();
   switch (kind) {
     case CacheDeltaKind::kTouch:
-      cache.touch_interned(source, target);
+      cache.touch(source, target);
       return;
     case CacheDeltaKind::kInstall:
-      if (!cache.insert_interned(source, target)) return;
+      if (!cache.insert(source, target)) return;
       service.active_ledger().cache.record(source->byte_size() + target->byte_size() +
                                            net::kMessageOverheadBytes);
       if (net::MessageBus* bus = service.bus(); bus != nullptr) {
@@ -267,7 +267,7 @@ void apply_cache_delta(IndexService& service, const Id& node, IndexNodeState& st
       }
       return;
     case CacheDeltaKind::kInvalidate:
-      cache.erase_interned(source, target);
+      cache.erase(source, target);
       return;
   }
 }
@@ -369,10 +369,10 @@ std::vector<Query> LookupEngine::search_tree(const Query& initial, int depth_lim
 std::size_t LookupEngine::purge_stale_shortcuts() {
   std::size_t purged = 0;
   for (auto& [node, state] : service_.states()) {
-    // entries() is a copy of the cache's interner-owned pairs, which stay
-    // valid while erase_interned mutates the cache.
+    // entries() is a copy of the cache's pool refs, which stay valid while
+    // erase mutates the cache.
     for (const auto& [source, target] : state.cache().entries()) {
-      if (!store_.has_record(target->key()) && state.cache().erase_interned(source, target)) {
+      if (!store_.has_record(target->key()) && state.cache().erase(source, target)) {
         ++purged;
       }
     }

@@ -27,13 +27,7 @@ std::vector<IndexNodeState::SourceEntry>::const_iterator IndexNodeState::find_en
   return it;
 }
 
-bool IndexNodeState::add(const query::Query& source, const query::Query& target,
-                         std::uint64_t now) {
-  return add_interned(interner_->intern(source), interner_->intern(target), now);
-}
-
-bool IndexNodeState::add_interned(const query::Query* s, const query::Query* t,
-                                  std::uint64_t now) {
+bool IndexNodeState::add(const query::Query* s, const query::Query* t, std::uint64_t now) {
   auto it = lower_bound(s->canonical());
   const bool inserted = it == entries_.end() || it->source != s;
   if (inserted) {
@@ -65,61 +59,33 @@ std::size_t IndexNodeState::expire_older_than(std::uint64_t cutoff) {
   }
   for (const auto& [source, target] : stale) {
     bool unused = false;
-    remove_interned(source, target, unused);
+    remove(source, target, unused);
   }
   return stale.size();
 }
 
 std::optional<std::uint64_t> IndexNodeState::refresh_stamp(
-    const query::Query& source, const query::Query& target) const {
-  const query::Query* s = interner_->find_existing(source);
-  if (s == nullptr) return std::nullopt;
-  const auto it = find_entry(s);
+    const query::Query* source, const query::Query* target) const {
+  const auto it = find_entry(source);
   if (it == entries_.end()) return std::nullopt;
-  const query::Query* t = interner_->find_existing(target);
-  if (t == nullptr) return std::nullopt;
   const auto pos = std::find_if(it->targets.begin(), it->targets.end(),
-                                [t](const TargetRef& r) { return r.target == t; });
+                                [target](const TargetRef& r) { return r.target == target; });
   if (pos == it->targets.end()) return std::nullopt;
   return pos->stamp;
 }
 
-// The by-value probes resolve through the interner without growing it: a
-// source the interner has never seen cannot have been added here.
 const IndexNodeState::SourceEntry& IndexNodeState::entry_of(
-    const query::Query& source) const {
-  const query::Query* interned = interner_->find_existing(source);
-  return interned == nullptr ? kNoEntry : entry_of_interned(interned);
-}
-
-const IndexNodeState::SourceEntry& IndexNodeState::entry_of_interned(
     const query::Query* source) const {
   const auto it = find_entry(source);
   return it == entries_.end() ? kNoEntry : *it;
 }
 
-bool IndexNodeState::has_source(const query::Query& source) const {
-  const query::Query* interned = interner_->find_existing(source);
-  return interned != nullptr && has_source_interned(interned);
-}
-
-bool IndexNodeState::has_source_interned(const query::Query* source) const {
+bool IndexNodeState::has_source(const query::Query* source) const {
   return find_entry(source) != entries_.end();
 }
 
-bool IndexNodeState::remove(const query::Query& source, const query::Query& target,
+bool IndexNodeState::remove(const query::Query* source, const query::Query* target,
                             bool& source_now_empty) {
-  source_now_empty = false;
-  const query::Query* s = interner_->find_existing(source);
-  if (s == nullptr) return false;
-  const query::Query* t = interner_->find_existing(target);
-  if (t == nullptr) return false;
-  return remove_interned(s, t, source_now_empty);
-}
-
-bool IndexNodeState::remove_interned(const query::Query* source,
-                                     const query::Query* target,
-                                     bool& source_now_empty) {
   source_now_empty = false;
   const auto it = lower_bound(source->canonical());
   if (it == entries_.end() || it->source != source) return false;

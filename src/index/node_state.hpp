@@ -6,17 +6,16 @@
 // the same iteration order the previous std::map<std::string, ...> layout
 // produced, so sweep results stay bit-identical -- with each mapping's
 // refresh stamp stored inline next to its target instead of in a separate
-// string-concatenation-keyed map. Queries are interned `const Query*` refs
-// shared with the whole index service.
+// string-concatenation-keyed map. Queries are `const Query*` refs into the
+// index service's query pool, and every operation takes pool refs: callers
+// resolve query values through that pool before they call in.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "index/cache.hpp"
-#include "query/interner.hpp"
 #include "query/query.hpp"
 
 namespace dhtidx::index {
@@ -41,48 +40,24 @@ class IndexNodeState {
     std::uint64_t target_bytes = 0;
   };
 
-  /// `interner` is the query pool shared across the service (must outlive
-  /// this state); when null the state owns a private interner so standalone
-  /// construction in tests and benchmarks keeps working.
-  explicit IndexNodeState(std::size_t cache_capacity = 0,
-                          query::QueryInterner* interner = nullptr)
-      : own_interner_(interner == nullptr ? std::make_unique<query::QueryInterner>()
-                                          : nullptr),
-        interner_(interner != nullptr ? interner : own_interner_.get()),
-        cache_(cache_capacity, interner_) {}
+  explicit IndexNodeState(std::size_t cache_capacity = 0) : cache_(cache_capacity) {}
 
   /// Adds the mapping (source ; target). Returns true when it was new; an
   /// existing mapping has its refresh stamp updated to `now` (soft-state
   /// republish, Section IV-C's read/write maintenance).
-  bool add(const query::Query& source, const query::Query& target, std::uint64_t now = 0);
-
-  /// add() for callers that already hold interned refs from this state's
-  /// interner (the service's insert/rebalance paths): skips re-interning.
-  bool add_interned(const query::Query* source, const query::Query* target,
-                    std::uint64_t now = 0);
+  bool add(const query::Query* source, const query::Query* target, std::uint64_t now = 0);
 
   /// The entry of `source`: its targets in insertion order and their byte
   /// sum (an empty entry when none is registered).
-  const SourceEntry& entry_of(const query::Query& source) const;
-
-  /// entry_of() for an interner-owned `source`: skips the interner probe.
-  const SourceEntry& entry_of_interned(const query::Query* source) const;
+  const SourceEntry& entry_of(const query::Query* source) const;
 
   /// True when any mapping is registered under `source`.
-  bool has_source(const query::Query& source) const;
-
-  /// has_source() for an interner-owned `source`: skips the interner probe.
-  bool has_source_interned(const query::Query* source) const;
+  bool has_source(const query::Query* source) const;
 
   /// Removes the mapping. Returns true when it existed; sets
   /// `source_now_empty` when it was the last mapping for that source.
-  bool remove(const query::Query& source, const query::Query& target,
+  bool remove(const query::Query* source, const query::Query* target,
               bool& source_now_empty);
-
-  /// remove() for callers that already hold interned refs from this state's
-  /// interner: skips the probe-only resolution.
-  bool remove_interned(const query::Query* source, const query::Query* target,
-                       bool& source_now_empty);
 
   /// Drops every mapping whose refresh stamp is older than `cutoff`
   /// (exclusive). Returns the number removed. Publishers that keep
@@ -91,8 +66,8 @@ class IndexNodeState {
   std::size_t expire_older_than(std::uint64_t cutoff);
 
   /// Refresh stamp of a mapping, or nullopt when absent.
-  std::optional<std::uint64_t> refresh_stamp(const query::Query& source,
-                                             const query::Query& target) const;
+  std::optional<std::uint64_t> refresh_stamp(const query::Query* source,
+                                             const query::Query* target) const;
 
   /// Distinct index keys (sources) on this node.
   std::size_t key_count() const { return entries_.size(); }
@@ -110,9 +85,6 @@ class IndexNodeState {
   /// iteration/diagnostics).
   const std::vector<SourceEntry>& entries() const { return entries_; }
 
-  /// The query pool this state interns through.
-  query::QueryInterner& interner() { return *interner_; }
-
  private:
   /// Sorted position of `canonical` in entries_ (insertion point when absent).
   std::vector<SourceEntry>::iterator lower_bound(const std::string& canonical);
@@ -120,8 +92,6 @@ class IndexNodeState {
   /// search every probe goes through.
   std::vector<SourceEntry>::const_iterator find_entry(const query::Query* source) const;
 
-  std::unique_ptr<query::QueryInterner> own_interner_;  // set when standalone
-  query::QueryInterner* interner_;
   std::vector<SourceEntry> entries_;  // sorted by source->canonical()
   ShortcutCache cache_;
   std::size_t mapping_count_ = 0;

@@ -26,10 +26,7 @@ bool IndexService::try_deliver(const Id& target, std::uint64_t request_bytes,
       net::active(ledger_).retries.record(request_bytes);
       if (bus_ != nullptr) bus_->record_lost(lost);
       const double backoff = retry_.backoff_before_retry(attempt);
-      if (backoff > 0.0) {
-        backoff_ms_ += backoff;
-        if (latency_ != nullptr) latency_->add_ms(backoff);
-      }
+      if (backoff > 0.0) backoff_ms_ += backoff;
     }
   }
   return false;
@@ -59,14 +56,17 @@ void IndexService::wire_remove(const Id& node, const query::Query* source,
 void IndexService::wire_lookup(const query::Query& q, const Id& node,
                                net::Action action, bool consider_cache) {
   bus_->exchange(wire_request(action, node, q), [&](const net::Message& m) {
-    // Serve from the contacted node's live state at delivery time.
+    // Serve from the contacted node's live state at delivery time. A query
+    // the pool does not hold has no mapping or shortcut anywhere.
     net::Message response = net::Message::response_to(m);
-    if (const IndexNodeState* state = find_state(m.to); state != nullptr) {
-      for (const IndexNodeState::TargetRef& ref : state->entry_of(q).targets) {
+    const IndexNodeState* state = find_state(m.to);
+    const query::Query* interned = state != nullptr ? interner_->find_existing(q) : nullptr;
+    if (interned != nullptr) {
+      for (const IndexNodeState::TargetRef& ref : state->entry_of(interned).targets) {
         response.payload.push_back(ref.target->canonical());
       }
       if (consider_cache) {
-        for (const query::Query* t : state->cache().find(q)) {
+        for (const query::Query* t : state->cache().targets_of(interned)) {
           response.payload.push_back(t->canonical());
         }
       }
@@ -80,7 +80,7 @@ Id IndexService::insert(const query::Query& source, const query::Query& target,
                         std::uint64_t now) {
   // Intern up front: a republished mapping resolves to its pooled instances
   // (warm canonical + DHT key, no SHA-1), and every replica's add() below
-  // reuses the same refs instead of re-probing the pool.
+  // reuses the same refs.
   return insert_interned(interner_->intern(source), interner_->intern(target), now);
 }
 
@@ -105,7 +105,7 @@ void IndexService::place(const Id& node, const query::Query* source,
                          const query::Query* target, std::uint64_t now, bool primary) {
   IndexNodeState* state = find_state(node);
   if (state == nullptr) state = &state_at(node);
-  state->add_interned(source, target, now);
+  state->add(source, target, now);
   if (bus_ != nullptr) {
     // The primary gets the publish; further copies are replication pushes.
     // The frame carries both canonical forms and is acknowledged by the node.
@@ -145,9 +145,9 @@ bool IndexService::remove_interned(const query::Query* source, const query::Quer
     bool removed_here = false;
     bool empty_here = false;
     if (state != nullptr) {
-      removed_here = state->remove_interned(source, target, empty_here);
+      removed_here = state->remove(source, target, empty_here);
       if (removed_here) removed_any = true;
-      if (state->has_source_interned(source)) any_left = true;
+      if (state->has_source(source)) any_left = true;
     }
     if (bus_ != nullptr) wire_remove(replica, source, target, removed_here);
   }
@@ -188,7 +188,7 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
     if (bus_ != nullptr) wire_lookup(q, replica, action, consider_cache);
     IndexNodeState* state = find_state(replica);
     const bool useful = interned != nullptr && state != nullptr &&
-                        (state->has_source_interned(interned) ||
+                        (state->has_source(interned) ||
                          (consider_cache && state->cache().bucket_size(interned) != 0));
     if (useful) {
       result.state = state;
@@ -220,8 +220,11 @@ IndexService::Reply IndexService::lookup(const query::Query& q, net::Action acti
   reply.unreachable = contacted.unreachable;
   if (contacted.unreachable) return reply;
   std::uint64_t response_bytes = net::kMessageOverheadBytes;
-  if (contacted.state != nullptr) {
-    const IndexNodeState::SourceEntry& entry = contacted.state->entry_of(q);
+  // A query the pool does not hold has no mapping on any node.
+  const query::Query* interned =
+      contacted.state != nullptr ? interner_->find_existing(q) : nullptr;
+  if (interned != nullptr) {
+    const IndexNodeState::SourceEntry& entry = contacted.state->entry_of(interned);
     reply.targets.reserve(entry.targets.size());
     for (const IndexNodeState::TargetRef& ref : entry.targets) {
       reply.targets.push_back(ref.target);
@@ -236,7 +239,7 @@ IndexNodeState& IndexService::state_at(const Id& node) {
   // May insert: exclusive structure rights (a FlatMap insert invalidates
   // every reference another thread might hold into the map).
   topology_.assert_exclusive();
-  return states_.try_emplace(node, cache_capacity_, interner_.get()).first->second;
+  return states_.try_emplace(node, cache_capacity_).first->second;
 }
 
 IndexNodeState* IndexService::find_state(const Id& node) {
@@ -294,7 +297,7 @@ std::size_t IndexService::rebalance() {
   for (const Move& move : moves) {
     bool unused = false;
     if (IndexNodeState* from = find_state(move.from); from != nullptr) {
-      from->remove_interned(move.source, move.target, unused);
+      from->remove(move.source, move.target, unused);
     }
     for (const Id& replica : dht_.replica_set(move.source->key(), replication_)) {
       if (is_dead(replica)) continue;
@@ -306,9 +309,9 @@ std::size_t IndexService::rebalance() {
       const auto apply = [this, &changed, source = move.source, target = move.target,
                           stamp = move.stamp, replica](const net::Message&) {
         IndexNodeState& state = state_at(replica);
-        const auto existing = state.refresh_stamp(*source, *target);
+        const auto existing = state.refresh_stamp(source, target);
         if (!existing || *existing < stamp) {
-          state.add_interned(source, target, stamp);
+          state.add(source, target, stamp);
           ++changed;
         }
       };
@@ -362,9 +365,9 @@ std::size_t IndexService::rebalance() {
         const auto apply = [this, &changed, source = fact.source, target = fact.target,
                             stamp = fact.stamp, replica](const net::Message&) {
           IndexNodeState& state = state_at(replica);
-          const auto existing = state.refresh_stamp(*source, *target);
+          const auto existing = state.refresh_stamp(source, target);
           if (!existing || *existing != stamp) {
-            state.add_interned(source, target, stamp);
+            state.add(source, target, stamp);
             ++changed;
           }
         };

@@ -12,9 +12,12 @@
 // RetryPolicy, and rebalance() migrates/repairs entries after churn the same
 // way DhtStore::rebalance does for stored records.
 //
-// The service owns the QueryInterner every per-node state and shortcut cache
-// interns through: one immutable Query instance per distinct query across the
-// whole index, with lookups, replies, and caches passing `const Query*` refs.
+// The service owns the query pool, a QueryInterner holding one immutable
+// Query instance per distinct query across the whole index. Per-node states,
+// shortcut caches, lookups and replies pass `const Query*` refs into it, and
+// IndexNodeState and ShortcutCache take nothing else: a query value becomes a
+// ref only through this pool (insert interns; lookup, contact and the wire
+// response resolve probe-only with find_existing, as do lookup sessions).
 //
 // Every published mapping lands through place(), the per-node apply that
 // insert_interned and the op pipeline (sim::build_world) share, so each
@@ -29,7 +32,6 @@
 #include "index/node_state.hpp"
 #include "net/bus.hpp"
 #include "net/failure.hpp"
-#include "net/latency.hpp"
 #include "net/retry.hpp"
 #include "net/stats.hpp"
 #include "query/interner.hpp"
@@ -93,7 +95,7 @@ class IndexService {
   /// the partition of the node that answered (nullptr when the node holds no
   /// index state) -- never created as a side effect of reading. Records one
   /// query message per delivered attempt and each failed attempt as retry
-  /// traffic; backoff is charged to the latency model as virtual time.
+  /// traffic; backoff adds up as virtual time in retry_backoff_ms().
   struct ContactResult {
     IndexNodeState* state = nullptr;
     Id node;
@@ -124,10 +126,10 @@ class IndexService {
   Id node_for(const query::Query& q) { return dht_.lookup(q.key()).node; }
 
   /// Mutable per-node state (created on demand with the configured cache
-  /// capacity, interning through the service-wide pool). Structure-mutating:
-  /// a FlatMap insert invalidates every outstanding reference, so this must
-  /// never run concurrently with anything -- the sharded build pre-creates
-  /// all partitions before its parallel phases for exactly this reason.
+  /// capacity). Structure-mutating: a FlatMap insert invalidates every
+  /// outstanding reference, so this must never run concurrently with
+  /// anything -- the sharded build pre-creates all partitions before its
+  /// parallel phases for exactly this reason.
   IndexNodeState& state_at(const Id& node);
 
   /// Checked accessors: the node's partition, or nullptr when it has none.
@@ -198,10 +200,6 @@ class IndexService {
   void set_bus(net::MessageBus* bus) { bus_ = bus; }
   net::MessageBus* bus() const { return bus_; }
 
-  /// Latency model charged with retry backoff (nullptr = backoff only
-  /// accumulates in retry_backoff_ms()).
-  void set_latency(net::LatencyModel* latency) { latency_ = latency; }
-
   /// Total virtual backoff time spent waiting between retries.
   double retry_backoff_ms() const { return backoff_ms_; }
 
@@ -218,7 +216,7 @@ class IndexService {
  private:
   /// Attempts delivery to `target` under the retry policy. Returns true when
   /// a delivery got through; each failed attempt counts into `rpc_failures`
-  /// and the retry ledger, and backoff is charged as virtual latency. With a
+  /// and the retry ledger, and backoff adds to retry_backoff_ms(). With a
   /// bus attached, each failed attempt is also recorded as the lost frame
   /// `lost` in the bus's measured ledger.
   bool try_deliver(const Id& target, std::uint64_t request_bytes, int& rpc_failures,
@@ -244,7 +242,6 @@ class IndexService {
   std::size_t cache_capacity_;
   std::size_t replication_;
   net::FailureInjector* failures_ = nullptr;
-  net::LatencyModel* latency_ = nullptr;
   net::MessageBus* bus_ = nullptr;
   net::RetryPolicy retry_;
   double backoff_ms_ = 0.0;

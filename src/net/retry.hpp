@@ -2,10 +2,11 @@
 //
 // A lookup that hits a dead node or a dropped message should not kill the
 // whole session: the caller retries the same replica a bounded number of
-// times (with exponential backoff charged to the LatencyModel as virtual
-// time), then fails over to the next replica. The policy only describes the
-// budget; the caller owns the loop so it can account each failed attempt as
-// retry traffic in the TrafficLedger.
+// times, then fails over to the next replica. The policy only describes the
+// budget and the exponential backoff schedule; the caller owns the loop so it
+// can account each failed attempt as retry traffic in the TrafficLedger.
+// IndexService adds the backoff up as virtual time (retry_backoff_ms(), a
+// simulation result field); the storage layer counts attempts only.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "common/rng.hpp"
 #include "net/chaos.hpp"
 #include "net/codec.hpp"
 
@@ -49,8 +50,8 @@ void EventQueueTransport::pump() {
       clock_ms_ = next.deliver_at_ms;
     }
     // A damaged frame still consumed the wire and its delivery slot, so the
-    // trace records it, but its payload never reaches the sink.
-    trace_.push_back(next.sequence);
+    // fingerprint counts it, but its payload never reaches the sink.
+    fingerprint_ = mix_seed(fingerprint_, next.sequence);
     Message message;
     try {
       message = codec::decode(next.frame);

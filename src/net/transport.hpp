@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <queue>
 #include <string>
-#include <vector>
 
 #include "net/message.hpp"
 
@@ -97,10 +96,12 @@ class EventQueueTransport : public Transport {
   /// Attaches the chaos adversary consulted on every send (nullptr: none).
   void set_chaos(ChaosInjector* chaos) { chaos_ = chaos; }
 
-  /// Deterministic fingerprint of the delivery history: sequence numbers in
-  /// the order frames were handed to the sink. Two runs with the same seed
-  /// and configuration must produce equal traces.
-  const std::vector<std::uint64_t>& delivery_trace() const { return trace_; }
+  /// Deterministic fingerprint of the delivery history: a 64-bit rolling
+  /// hash (mix_seed) of the sequence numbers in the order frames left the
+  /// queue, rejected frames included. Two runs with the same seed and
+  /// configuration must produce equal values. Constant memory, however long
+  /// the run.
+  std::uint64_t delivery_fingerprint() const { return fingerprint_; }
 
  private:
   struct PendingFrame {
@@ -124,7 +125,7 @@ class EventQueueTransport : public Transport {
   std::uint64_t delivered_ = 0;
   std::uint64_t rejected_ = 0;
   std::priority_queue<PendingFrame> queue_;
-  std::vector<std::uint64_t> trace_;
+  std::uint64_t fingerprint_ = 0;
   ChaosInjector* chaos_ = nullptr;
 };
 

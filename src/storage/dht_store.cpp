@@ -22,8 +22,6 @@ bool DhtStore::try_deliver(const Id& target, std::uint64_t request_bytes,
       ++rpc_failures;
       net::active(ledger_).retries.record(request_bytes);
       if (bus_ != nullptr && wire != nullptr) bus_->record_lost(*wire);
-      const double backoff = retry_.backoff_before_retry(attempt);
-      if (backoff > 0.0 && latency_ != nullptr) latency_->add_ms(backoff);
     }
   }
   return false;

@@ -13,7 +13,6 @@
 #include "dht/dht.hpp"
 #include "net/bus.hpp"
 #include "net/failure.hpp"
-#include "net/latency.hpp"
 #include "net/retry.hpp"
 #include "net/stats.hpp"
 #include "storage/node_store.hpp"
@@ -121,9 +120,6 @@ class DhtStore {
 
   void set_retry_policy(const net::RetryPolicy& policy) { retry_ = policy; }
 
-  /// Latency model charged with retry backoff (nullptr = none).
-  void set_latency(net::LatencyModel* latency) { latency_ = latency; }
-
   /// Routes store/fetch/remove/replicate/repair RPCs through a message bus
   /// (see IndexService::set_bus): each operation additionally travels as a
   /// typed net::Message whose serialized size lands in the bus's measured
@@ -138,9 +134,10 @@ class DhtStore {
   std::size_t total_records() const;
 
  private:
-  /// Attempts delivery to `target` under the retry policy (see
-  /// IndexService::try_deliver for the accounting contract). A wire message,
-  /// when given, has each failed attempt recorded as a lost frame.
+  /// Attempts delivery to `target` under the retry policy. Each failed
+  /// attempt counts into `rpc_failures` and the retry ledger, and a wire
+  /// message, when given, is recorded as a lost frame. Unlike
+  /// IndexService::try_deliver it keeps no backoff total.
   bool try_deliver(const Id& target, std::uint64_t request_bytes, int& rpc_failures,
                    const net::Message* wire = nullptr);
 
@@ -156,7 +153,6 @@ class DhtStore {
   net::TrafficLedger& ledger_;
   std::size_t replication_;
   net::FailureInjector* failures_ = nullptr;
-  net::LatencyModel* latency_ = nullptr;
   net::MessageBus* bus_ = nullptr;
   net::RetryPolicy retry_;
 

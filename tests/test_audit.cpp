@@ -62,7 +62,7 @@ class CorruptibleSystem {
     const query::Query source = query::Query::parse("/article[conf=ZZZ]");
     const query::Query target = query::Query::parse("/article[author/last=Nobody]");
     ASSERT_FALSE(source.covers(target));
-    service_.state_at(ring_.lookup(source.key()).node).add(source, target);
+    service_.state_at(ring_.lookup(source.key()).node).add(pooled(source), pooled(target));
   }
 
   /// Reachability: delete the (author+title ; MSD) hop of one article, so
@@ -99,7 +99,7 @@ class CorruptibleSystem {
     const Id responsible = ring_.lookup(source.key()).node;
     for (const Id& node : ring_.node_ids()) {
       if (node != responsible) {
-        service_.state_at(node).add(source, target);
+        service_.state_at(node).add(pooled(source), pooled(target));
         return;
       }
     }
@@ -124,7 +124,7 @@ class CorruptibleSystem {
         "/article[author/first=No][author/last=Body][title=Ghost][conf=X][year=1990]");
     const query::Query source = query::Query::parse("/article[author/last=Body]");
     ASSERT_TRUE(source.covers(ghost));
-    service_.state_at(ring_.node_ids().front()).cache().insert(source, ghost);
+    service_.state_at(ring_.node_ids().front()).cache().insert(pooled(source), pooled(ghost));
   }
 
   /// Replica consistency: delete one mapping from a single replica, leaving
@@ -133,7 +133,7 @@ class CorruptibleSystem {
   void inject_replica_drift() {
     const auto [source, target] = some_mapping();
     const std::vector<Id> replicas =
-        ring_.replica_set(source.key(), service_.replication());
+        ring_.replica_set(source->key(), service_.replication());
     ASSERT_GE(replicas.size(), 2u);
     bool source_now_empty = false;
     ASSERT_TRUE(service_.state_at(replicas.back()).remove(source, target,
@@ -145,7 +145,7 @@ class CorruptibleSystem {
   void inject_stamp_skew() {
     const auto [source, target] = some_mapping();
     const std::vector<Id> replicas =
-        ring_.replica_set(source.key(), service_.replication());
+        ring_.replica_set(source->key(), service_.replication());
     ASSERT_GE(replicas.size(), 2u);
     // add() on an existing mapping only updates the stamp.
     ASSERT_FALSE(service_.state_at(replicas.front()).add(source, target, 99999));
@@ -162,15 +162,20 @@ class CorruptibleSystem {
   storage::DhtStore& store() { return store_; }
 
  private:
-  /// An arbitrary existing mapping (the first one in node order).
-  std::pair<query::Query, query::Query> some_mapping() {
+  /// An arbitrary existing mapping (the first one in node order), as pool
+  /// refs.
+  std::pair<const query::Query*, const query::Query*> some_mapping() {
     for (const auto& [node, state] : service_.states()) {
       for (const auto& [source, targets, bytes] : state.entries()) {
-        if (!targets.empty()) return {*source, *targets.front().target};
+        if (!targets.empty()) return {source, targets.front().target};
       }
     }
     throw InvariantError("no mapping to corrupt");
   }
+
+  /// `q` as a ref into the service's query pool, interned on first sight:
+  /// the injectors write straight into node state, which takes pool refs.
+  const query::Query* pooled(const query::Query& q) { return service_.interner().intern(q); }
 
   dht::Ring ring_;
   net::TrafficLedger ledger_;

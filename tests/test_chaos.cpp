@@ -335,9 +335,9 @@ TEST(MessageBusChaos, DeliveryTraceReplaysBitIdenticallyForAFixedSeed) {
       if (i % 9 == 0) bus.sync();
     }
     bus.sync();
-    return transport.delivery_trace();
+    return transport.delivery_fingerprint();
   };
-  const std::vector<std::uint64_t> first = run(77);
+  const std::uint64_t first = run(77);
   EXPECT_EQ(first, run(77));  // same seed, same fault schedule, same order
   EXPECT_NE(first, run(78));  // different seed reorders differently
 }

@@ -32,6 +32,9 @@ struct ReplicatedIndex {
     return ring.replica_set(source.key(), service.replication());
   }
 
+  /// `q` as a ref into the service's query pool (nullptr when unpooled).
+  const Query* pooled(const Query& q) { return service.interner().find_existing(q); }
+
   net::TrafficLedger ledger;
   dht::Ring ring;
   index::IndexService service;
@@ -56,8 +59,9 @@ TEST(ReplicatedIndexService, InsertWritesEveryReplicaWithIdenticalStamps) {
   for (const Id& replica : replicas) {
     const index::IndexNodeState* state = world.service.find_state(replica);
     ASSERT_NE(state, nullptr) << replica.brief();
-    EXPECT_TRUE(state->has_source(source_q()));
-    EXPECT_EQ(state->refresh_stamp(source_q(), target_q()), std::optional<std::uint64_t>{42});
+    EXPECT_TRUE(state->has_source(world.pooled(source_q())));
+    EXPECT_EQ(state->refresh_stamp(world.pooled(source_q()), world.pooled(target_q())),
+              std::optional<std::uint64_t>{42});
   }
 }
 
@@ -126,7 +130,7 @@ TEST(ReplicatedIndexService, RemoveClearsEveryReplica) {
   for (const Id& replica : world.replicas_of(source_q())) {
     const index::IndexNodeState* state = world.service.find_state(replica);
     if (state != nullptr) {
-      EXPECT_FALSE(state->has_source(source_q()));
+      EXPECT_FALSE(state->has_source(world.pooled(source_q())));
     }
   }
   // Idempotent: a second remove finds nothing anywhere.
@@ -147,9 +151,10 @@ TEST(ReplicatedIndexService, RebalanceMigratesEntriesAfterMembershipChange) {
   EXPECT_EQ(world.service.find_state(old_home), nullptr);
   const index::IndexNodeState* state = world.service.find_state(new_home);
   ASSERT_NE(state, nullptr);
-  EXPECT_TRUE(state->has_source(source_q()));
+  EXPECT_TRUE(state->has_source(world.pooled(source_q())));
   // The migrated copy keeps the publisher's soft-state stamp.
-  EXPECT_EQ(state->refresh_stamp(source_q(), target_q()), std::optional<std::uint64_t>{7});
+  EXPECT_EQ(state->refresh_stamp(world.pooled(source_q()), world.pooled(target_q())),
+            std::optional<std::uint64_t>{7});
   // A second pass finds nothing left to repair.
   EXPECT_EQ(world.service.rebalance(), 0u);
 }

@@ -27,6 +27,9 @@ biblio::Article article(int i, const std::string& last) {
 
 class ExpiryTest : public ::testing::Test {
  protected:
+  /// `q` as a ref into the service's query pool (nullptr when unpooled).
+  const Query* pooled(const Query& q) { return service_.interner().find_existing(q); }
+
   dht::Ring ring_ = dht::Ring::with_nodes(12);
   net::TrafficLedger ledger_;
   storage::DhtStore store_{ring_, ledger_};
@@ -38,14 +41,14 @@ TEST_F(ExpiryTest, StampsRecordedAndRefreshed) {
   const biblio::Article a = article(1, "Smith");
   builder_.index_file(a.descriptor(), a.file_name(), a.file_bytes, nullptr, /*now=*/5);
   const Id node = service_.node_for(a.author_query());
-  const auto stamp =
-      service_.state_at(node).refresh_stamp(a.author_query(), a.author_title_query());
+  const auto stamp = service_.state_at(node).refresh_stamp(pooled(a.author_query()),
+                                                           pooled(a.author_title_query()));
   ASSERT_TRUE(stamp.has_value());
   EXPECT_EQ(*stamp, 5u);
 
   builder_.republish(a.descriptor(), /*now=*/9);
   EXPECT_EQ(service_.state_at(node)
-                .refresh_stamp(a.author_query(), a.author_title_query())
+                .refresh_stamp(pooled(a.author_query()), pooled(a.author_title_query()))
                 .value(),
             9u);
 }
@@ -115,7 +118,7 @@ TEST_F(ExpiryTest, RemoveClearsStamps) {
   builder_.remove_file(a.descriptor());
   const Id node = service_.node_for(a.author_query());
   EXPECT_FALSE(service_.state_at(node)
-                   .refresh_stamp(a.author_query(), a.author_title_query())
+                   .refresh_stamp(pooled(a.author_query()), pooled(a.author_title_query()))
                    .has_value());
 }
 

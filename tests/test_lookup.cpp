@@ -185,8 +185,9 @@ TEST(Lookup, LruEvictionBringsErrorsBack) {
   // Displace the shortcut: with capacity 1, any newer entry on the same node
   // evicts the author+year shortcut.
   const Id node = w.service.node_for(a.author_year_query());
-  w.service.state_at(node).cache().insert(query::Query::parse("/article/title/Filler"),
-                                          a.msd());
+  query::QueryInterner& pool = w.service.interner();
+  w.service.state_at(node).cache().insert(
+      pool.intern(query::Query::parse("/article/title/Filler")), pool.intern(a.msd()));
   EXPECT_EQ(w.service.state_at(node).cache().size(), 1u);
   const auto again = w.engine.resolve(a.author_year_query(), a.msd());
   EXPECT_TRUE(again.non_indexed);
@@ -399,7 +400,8 @@ TEST(Lookup, HopSelectionOverLongListMatchesCoversScan) {
   // Reference: a plain covers() scan of the list with the same rules.
   const IndexNodeState* state = service.find_state(service.node_for(source));
   ASSERT_NE(state, nullptr);
-  const std::vector<IndexNodeState::TargetRef>& targets = state->entry_of(source).targets;
+  const std::vector<IndexNodeState::TargetRef>& targets =
+      state->entry_of(service.interner().find_existing(source)).targets;
   ASSERT_EQ(targets.size(), 1003u);
   const Query* expected = nullptr;
   std::uint64_t list_bytes = 0;

@@ -21,6 +21,7 @@
 #include "net/bus.hpp"
 #include "net/codec.hpp"
 #include "net/transport.hpp"
+#include "query/interner.hpp"
 #include "sim/sharded.hpp"
 #include "storage/dht_store.hpp"
 
@@ -63,36 +64,35 @@ std::size_t expect_exact(const IndexService& service) {
 
 TEST(EntryState, ExactThroughAddRemoveAndExpiry) {
   IndexNodeState state;
-  const Query source = Query::parse("/article/conf/ICDCS");
-  const Query a = Query::parse("/article[conf/ICDCS][year/2004]");
-  const Query b = Query::parse("/article[conf/ICDCS][title^=T]");
-  const Query c = Query::parse("/article[author/last/Smith][conf/ICDCS]");
+  query::QueryInterner pool;
+  const Query* source = pool.intern(Query::parse("/article/conf/ICDCS"));
+  const Query* a = pool.intern(Query::parse("/article[conf/ICDCS][year/2004]"));
+  const Query* b = pool.intern(Query::parse("/article[conf/ICDCS][title^=T]"));
+  const Query* c = pool.intern(Query::parse("/article[author/last/Smith][conf/ICDCS]"));
   const auto bytes = [&] { return state.entry_of(source).target_bytes; };
 
   EXPECT_TRUE(state.add(source, a, 1));
   EXPECT_TRUE(state.add(source, b, 2));
   EXPECT_TRUE(state.add(source, c, 3));
   expect_exact(state);
-  EXPECT_EQ(bytes(), a.byte_size() + b.byte_size() + c.byte_size());
+  EXPECT_EQ(bytes(), a->byte_size() + b->byte_size() + c->byte_size());
   EXPECT_NE(state.entry_of(source).targets.front().signature, 0u);
 
   // A republish only refreshes the stamp.
   EXPECT_FALSE(state.add(source, a, 5));
   expect_exact(state);
-  EXPECT_EQ(bytes(), a.byte_size() + b.byte_size() + c.byte_size());
+  EXPECT_EQ(bytes(), a->byte_size() + b->byte_size() + c->byte_size());
 
   bool source_now_empty = true;
-  query::QueryInterner& pool = state.interner();
-  EXPECT_TRUE(state.remove_interned(pool.find_existing(source), pool.find_existing(b),
-                                    source_now_empty));
+  EXPECT_TRUE(state.remove(source, b, source_now_empty));
   EXPECT_FALSE(source_now_empty);
   expect_exact(state);
-  EXPECT_EQ(bytes(), a.byte_size() + c.byte_size());
+  EXPECT_EQ(bytes(), a->byte_size() + c->byte_size());
 
   // Stamps are now a=5, c=3.
   EXPECT_EQ(state.expire_older_than(4), 1u);
   expect_exact(state);
-  EXPECT_EQ(bytes(), a.byte_size());
+  EXPECT_EQ(bytes(), a->byte_size());
   EXPECT_EQ(state.expire_older_than(6), 1u);
   EXPECT_TRUE(state.entries().empty());
   EXPECT_EQ(bytes(), 0u);
@@ -100,7 +100,7 @@ TEST(EntryState, ExactThroughAddRemoveAndExpiry) {
   // A key that vanished and comes back starts its sum from zero.
   EXPECT_TRUE(state.add(source, b, 7));
   expect_exact(state);
-  EXPECT_EQ(bytes(), b.byte_size());
+  EXPECT_EQ(bytes(), b->byte_size());
 }
 
 TEST(EntryState, ExactThroughChurnRepair) {

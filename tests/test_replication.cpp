@@ -306,9 +306,11 @@ TEST(PlacementRule, OneSubstrateCallPerOperationAndWritesOnFirstLiveSuccessors) 
       EXPECT_EQ(store.total_records(), 0u);
 
       one_call("insert", [&] { EXPECT_EQ(service.insert(source, target), writes.front()); });
+      const query::Query* s = service.interner().find_existing(source);
+      const query::Query* t = service.interner().find_existing(target);
       std::vector<Id> holders;
       for (const auto& [node, state] : service.states()) {
-        if (state.has_source(source)) holders.push_back(node);
+        if (state.has_source(s)) holders.push_back(node);
       }
       EXPECT_EQ(holders, sorted(writes));
 
@@ -318,7 +320,7 @@ TEST(PlacementRule, OneSubstrateCallPerOperationAndWritesOnFirstLiveSuccessors) 
         const auto contacted = service.contact(source, /*consider_cache=*/false);
         EXPECT_EQ(contacted.node, writes.front());
         ASSERT_NE(contacted.state, nullptr);
-        EXPECT_TRUE(contacted.state->has_source(source));
+        EXPECT_TRUE(contacted.state->has_source(s));
       });
       ASSERT_FALSE(transport.requested.empty());
       for (const std::vector<Id>* reached : {&transport.requested, &failures.attempted}) {
@@ -328,8 +330,6 @@ TEST(PlacementRule, OneSubstrateCallPerOperationAndWritesOnFirstLiveSuccessors) 
         }
       }
 
-      const query::Query* s = service.interner().find_existing(source);
-      const query::Query* t = service.interner().find_existing(target);
       bool source_now_empty = false;
       one_call("remove_interned",
                [&] { EXPECT_TRUE(service.remove_interned(s, t, source_now_empty)); });
@@ -351,14 +351,16 @@ TEST(ContactFailover, CachedShortcutMakesTheFirstReplicaUseful) {
   index::IndexService service{ring, ledger, /*cache_capacity=*/0, /*replication=*/2};
   const std::vector<Id> writes = dht::write_nodes(ring, q.key(), 2, nullptr);
   ASSERT_EQ(writes.size(), 2u);
-  ASSERT_TRUE(service.state_at(writes.front()).cache().insert(q, target));
+  const Query* pooled_q = service.interner().intern(q);
+  ASSERT_TRUE(
+      service.state_at(writes.front()).cache().insert(pooled_q, service.interner().intern(target)));
   ASSERT_EQ(service.totals().mappings, 0u);
 
   const auto cached = service.contact(q, /*consider_cache=*/true);
   EXPECT_EQ(cached.node, writes.front());
   EXPECT_EQ(cached.replicas_tried, 1);
   ASSERT_NE(cached.state, nullptr);
-  EXPECT_EQ(cached.state->cache().find(q).size(), 1u);
+  EXPECT_EQ(cached.state->cache().targets_of(pooled_q).size(), 1u);
   EXPECT_EQ(ledger.queries.messages(), 1u);
 
   ledger.reset();
