@@ -22,7 +22,10 @@
 //
 // Output: progress tables on stdout, then one JSON line (the last line of
 // output) with every cell's metrics -- capture it with `tail -n 1` into
-// BENCH_scale_frontier.json. `--smoke` swaps in a tiny world and runs it at
+// BENCH_scale_frontier.json. That line also records the processor count and
+// the build type, and each of its cells heap_bytes_per_article: the heap
+// bytes the build left allocated (mallinfo2 after minus before), per
+// article. `--smoke` swaps in a tiny world and runs it at
 // one shard and at --shards twice over -- once cacheless, once with a
 // caching policy (lru-multi, the policy exercising installs, touches and
 // evictions) -- and exits non-zero unless both pairs are bit-identical: that
@@ -32,6 +35,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -133,7 +137,9 @@ std::string num(double value) {
   return buf;
 }
 
-std::string cell_json(const CellReport& cell) {
+/// The cell's metrics as one JSON object. Full-ladder cells add
+/// heap_bytes_per_article, which the --smoke output leaves out.
+std::string cell_json(const CellReport& cell, bool with_heap = false) {
   const sim::SimulationResults& r = cell.results;
   const double articles = static_cast<double>(r.articles);
   const double logical_bytes = static_cast<double>(r.index_bytes + r.data_bytes);
@@ -172,6 +178,9 @@ std::string cell_json(const CellReport& cell) {
   field("logical_bytes_per_article", num(logical_bytes / articles));
   field("rss_bytes_per_article",
         num(static_cast<double>(r.peak_rss_bytes) / articles));
+  if (with_heap) {
+    field("heap_bytes_per_article", num(static_cast<double>(r.build_heap_bytes) / articles));
+  }
   field("avg_interactions", num(r.avg_interactions));
   field("avg_generalization_steps", num(r.avg_generalization_steps));
   field("normal_traffic_per_query", num(r.normal_traffic_per_query));
@@ -356,21 +365,24 @@ int main(int argc, char** argv) {
                            streaming_cell(50000, 1000000, 5000000, options.shards)));
 
   banner("Memory budget");
-  row("cell", {"bytes/node", "bytes/article", "rss GiB"});
+  row("cell", {"bytes/node", "bytes/article", "heap/article", "rss GiB"});
   for (const CellReport& cell : cells) {
     const sim::SimulationResults& r = cell.results;
     const double logical = static_cast<double>(r.index_bytes + r.data_bytes);
+    const double articles = static_cast<double>(r.articles);
     row(cell.label,
-        {fmt(logical / static_cast<double>(r.nodes), 0),
-         fmt(logical / static_cast<double>(r.articles), 0),
+        {fmt(logical / static_cast<double>(r.nodes), 0), fmt(logical / articles, 0),
+         fmt(static_cast<double>(r.build_heap_bytes) / articles, 0),
          fmt(static_cast<double>(r.peak_rss_bytes) / (1024.0 * 1024.0 * 1024.0), 2)});
   }
 
   std::string json = "{\"bench\":\"scale_frontier\",\"smoke\":false,\"shards\":" +
-                     std::to_string(options.shards) + ",\"cells\":[";
+                     std::to_string(options.shards) +
+                     ",\"nproc\":" + std::to_string(std::thread::hardware_concurrency()) +
+                     ",\"build_type\":\"" + json_escape(DHTIDX_BUILD_TYPE) + "\",\"cells\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i > 0) json += ",";
-    json += cell_json(cells[i]);
+    json += cell_json(cells[i], /*with_heap=*/true);
   }
   json += "]}";
   std::printf("%s\n", json.c_str());

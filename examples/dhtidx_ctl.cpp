@@ -151,8 +151,8 @@ int cmd_query(const Args& args) {
         try {
           const query::Query msd =
               query::Query::most_specific(xml::parse(record.payload));
-          for (const auto& c : msd.constraints()) {
-            if (c.value && !c.value_is_prefix) dictionary.add(c.path_string(), *c.value);
+          for (const query::ConstraintView c : msd.constraints()) {
+            if (c.has_value() && !c.value_is_prefix()) dictionary.add(c.path_string(), c.value());
           }
         } catch (const ParseError&) {
         }

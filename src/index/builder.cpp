@@ -50,8 +50,8 @@ void IndexBuilder::index_file(const xml::Element& descriptor, const std::string&
     ++inserted;
   }
   if (dictionary_ != nullptr) {
-    for (const query::Constraint& c : msd.constraints()) {
-      if (c.value && !c.value_is_prefix) dictionary_->add(c.path_string(), *c.value);
+    for (const query::ConstraintView c : msd.constraints()) {
+      if (c.has_value() && !c.value_is_prefix()) dictionary_->add(c.path_string(), c.value());
     }
   }
   if (stats != nullptr) {

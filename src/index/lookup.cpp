@@ -186,7 +186,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     asked.emplace_back(node, q);
     ++outcome.generalization_steps;
     // The same generalization recurs across sessions; reuse the interned
-    // instance (warm canonical + key) when the index already knows it.
+    // instance (warm key) when the index already knows it.
     if (const Query* interned = interner.find_existing(*fallback)) {
       q = interned;
       pooled = true;
@@ -206,10 +206,10 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
 std::vector<Query> LookupEngine::generalization_candidates(const Query& q) {
   // Group constraint indices by their top-level field.
   // dhtidx-lint: allow(hot-path-map) "sorted field order drives the deterministic generalization sequence; a handful of entries per query"
-  std::map<std::string, std::vector<std::size_t>> groups;
+  std::map<std::string_view, std::vector<std::size_t>> groups;
   const auto& constraints = q.constraints();
   for (std::size_t i = 0; i < constraints.size(); ++i) {
-    groups[constraints[i].path.front()].push_back(i);
+    groups[constraints[i].first_step()].push_back(i);
   }
   if (groups.size() <= 1) return {};  // dropping the only field leaves nothing
 

@@ -1,10 +1,26 @@
 #include "index/scheme.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 
 namespace dhtidx::index {
+
+namespace {
+
+/// Position in `msd` of the exact-value constraint at `path`, if any.
+std::optional<std::size_t> exact_field(const query::Query& msd,
+                                       const std::vector<std::string>& path) {
+  const auto& constraints = msd.constraints();
+  for (std::size_t i = 0; i < constraints.size(); ++i) {
+    const query::ConstraintView c = constraints[i];
+    if (c.has_path(path) && c.has_value() && !c.value_is_prefix()) return i;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
 
 std::string to_string(SchemeKind kind) {
   switch (kind) {
@@ -139,7 +155,7 @@ query::Query IndexingScheme::project(const query::Query& msd,
   std::vector<std::size_t> keep;
   const auto& constraints = msd.constraints();
   for (std::size_t i = 0; i < constraints.size(); ++i) {
-    const std::string& field = constraints[i].path.front();
+    const std::string_view field = constraints[i].first_step();
     if (std::find(fields.begin(), fields.end(), field) != fields.end()) {
       keep.push_back(i);
     }
@@ -158,38 +174,25 @@ std::vector<Mapping> IndexingScheme::mappings_for(const query::Query& msd) const
     mappings.push_back(Mapping{std::move(source), std::move(target)});
   }
   for (const PathRule& rule : path_rules_) {
-    const query::Constraint* field = nullptr;
-    for (const query::Constraint& c : msd.constraints()) {
-      if (c.path == rule.path && c.value && !c.value_is_prefix) {
-        field = &c;
-        break;
-      }
-    }
-    if (field == nullptr) continue;  // descriptor lacks the field
-    query::Query source{msd.root()};
-    source.add_constraint(*field);
+    const std::optional<std::size_t> field = exact_field(msd, rule.path);
+    if (!field) continue;  // descriptor lacks the field
+    query::Query source = msd.keep_constraints({*field});
     query::Query target = rule.target_is_msd ? msd : project(msd, rule.target_fields);
     if (source == target) continue;
     mappings.push_back(Mapping{std::move(source), std::move(target)});
   }
   for (const PrefixRule& rule : prefix_rules_) {
-    // Find the exact-value constraint at the rule's path in the MSD.
-    const query::Constraint* field = nullptr;
-    for (const query::Constraint& c : msd.constraints()) {
-      if (c.path == rule.path && c.value && !c.value_is_prefix) {
-        field = &c;
-        break;
-      }
-    }
-    if (field == nullptr) continue;  // descriptor lacks the field
-    const std::size_t length = std::min(rule.prefix_length, field->value->size());
+    const std::optional<std::size_t> field = exact_field(msd, rule.path);
+    if (!field) continue;  // descriptor lacks the field
+    const std::string_view value = msd.constraints()[*field].value();
+    const std::size_t length = std::min(rule.prefix_length, value.size());
     if (length == 0) continue;
     query::Query source{msd.root()};
     query::Constraint prefix;
     prefix.path = rule.path;
-    prefix.value = field->value->substr(0, length);
+    prefix.value = std::string{value.substr(0, length)};
     prefix.value_is_prefix = true;
-    source.add_constraint(std::move(prefix));
+    source.add_constraint(prefix);
     query::Query target =
         rule.target_is_msd ? msd : project(msd, rule.target_fields);
     if (source == target) continue;

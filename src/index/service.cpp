@@ -79,7 +79,7 @@ void IndexService::wire_lookup(const query::Query& q, const Id& node,
 Id IndexService::insert(const query::Query& source, const query::Query& target,
                         std::uint64_t now) {
   // Intern up front: a republished mapping resolves to its pooled instances
-  // (warm canonical + DHT key, no SHA-1), and every replica's add() below
+  // (warm DHT key, no SHA-1), and every replica's add() below
   // reuses the same refs.
   return insert_interned(interner_->intern(source), interner_->intern(target), now);
 }

@@ -13,10 +13,10 @@ using query::Query;
 std::vector<Query> TwineIndexer::strands(const Query& msd) {
   // Group the MSD constraints by top-level field.
   // dhtidx-lint: allow(hot-path-map) "sorted field order fixes the strand emission order; a handful of entries per article"
-  std::map<std::string, std::vector<std::size_t>> fields;
+  std::map<std::string_view, std::vector<std::size_t>> fields;
   const auto& constraints = msd.constraints();
   for (std::size_t i = 0; i < constraints.size(); ++i) {
-    fields[constraints[i].path.front()].push_back(i);
+    fields[constraints[i].first_step()].push_back(i);
   }
 
   auto project = [&](std::initializer_list<const char*> names) {

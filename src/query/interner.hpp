@@ -8,9 +8,10 @@
 // `const Query*` refs instead of copies, and pointer equality coincides with
 // query equality for pointers produced by the same interner.
 //
-// Interned queries are returned with their canonical string and DHT key
-// pre-computed, so concurrent readers never race on the lazy caches, and are
-// never freed before the interner itself: erasing an index entry leaves the
+// A query's canonical string and signature are built with it; only its DHT
+// key is lazy. Interned queries are returned with the key pre-computed, so
+// concurrent readers never race on that cache, and are never freed before
+// the interner itself: erasing an index entry leaves the
 // interned query behind (refs held elsewhere -- shortcut caches, replies in
 // flight, audit snapshots -- stay valid for the interner's lifetime).
 //
@@ -43,8 +44,7 @@ class QueryInterner {
   QueryInterner& operator=(const QueryInterner&) = delete;
 
   /// The canonical instance equal to `q`, created on first sight. The
-  /// returned query has its canonical string (with its signature) and DHT
-  /// key pre-computed.
+  /// returned query has its DHT key (its one lazy field) pre-computed.
   /// Probes before copying: re-interning an already-pooled query (the steady
   /// state of republish and shortcut-refresh traffic) costs one hash lookup,
   /// no Query copy.
@@ -79,7 +79,7 @@ class QueryInterner {
   /// frozen whenever workers run concurrently.
   PhaseCapability intern_phase_;
 
-  // Keys are views into each stored query's canonical cache, which is
+  // Keys are views into each stored query's canonical string, which is
   // immutable (and heap-stable) once the query is interned.
   // dhtidx-lint: allow(hot-path-map) "hash arena keyed by canonical form; iteration order is never observed, so determinism is unaffected"
   std::unordered_map<std::string_view, std::unique_ptr<const Query>> pool_

@@ -166,19 +166,19 @@ class Parser {
 
   /// Converts the parse tree into a normalized Query.
   Query flatten(const PNode& root) {
-    Query q{root.name};
     if (root.value || root.presence_marker) {
       fail("the root element cannot carry a value");
     }
+    std::vector<Constraint> constraints;
     std::vector<std::string> path;
     for (const PNode& child : root.children) {
-      flatten_subtree(child, path, /*descendant=*/child.descendant, q);
+      flatten_subtree(child, path, /*descendant=*/child.descendant, constraints);
     }
-    return q;
+    return Query{root.name, constraints};
   }
 
   void flatten_subtree(const PNode& node, std::vector<std::string>& path, bool descendant,
-                       Query& q) {
+                       std::vector<Constraint>& constraints) {
     if (node.descendant && !path.empty()) {
       fail("'//' is only supported at the start of a constraint path");
     }
@@ -197,13 +197,13 @@ class Parser {
         c.path.assign(path.begin(), path.end() - 1);
         c.value = path.back();
       }
-      q.add_constraint(std::move(c));
+      constraints.push_back(std::move(c));
     } else {
       if (node.value || node.presence_marker) {
         fail("a value may only terminate a constraint path");
       }
       for (const PNode& child : node.children) {
-        flatten_subtree(child, path, descendant, q);
+        flatten_subtree(child, path, descendant, constraints);
       }
     }
     path.pop_back();

@@ -129,6 +129,9 @@ struct SimulationResults {
   double build_wall_s = 0.0;          ///< index construction wall time
   double feed_wall_s = 0.0;           ///< query feed wall time
   std::uint64_t peak_rss_bytes = 0;   ///< process-wide watermark (0 = unavailable)
+  /// Heap bytes the build left allocated: heap_in_use_bytes() after it minus
+  /// before it (0 = unavailable).
+  std::uint64_t build_heap_bytes = 0;
 };
 
 /// Convenience percentile over an unsorted copy of `values` (p in [0,100]).

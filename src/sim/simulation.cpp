@@ -204,6 +204,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
 
   // One build path for both world sources; on an event-queue world it posts
   // index_file's frames in index_file's order.
+  const std::uint64_t heap_before_build = heap_in_use_bytes();
   const auto build_start = std::chrono::steady_clock::now();
   if (stream) {
     build_world(config, ring, service, store, *stream);
@@ -212,6 +213,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
   }
   if (bus) bus->sync();  // flush publish/store frames queued during the build
   const double build_wall_s = wall_seconds_since(build_start);
+  const std::uint64_t heap_after_build = heap_in_use_bytes();
 #ifdef DHTIDX_AUDIT
   // Phase boundary: the index is fully built, no query has run. Any audit
   // traffic lands before the resets below, so measurements are unaffected.
@@ -370,6 +372,8 @@ SimulationResults run_simulation(const SimulationConfig& config,
   r.build_wall_s = build_wall_s;
   r.feed_wall_s = wall_seconds_since(feed_start);
   r.peak_rss_bytes = dhtidx::peak_rss_bytes();
+  r.build_heap_bytes =
+      heap_after_build > heap_before_build ? heap_after_build - heap_before_build : 0;
   r.rpc_failures = feed.rpc_failures;
   r.failed_lookups = feed.failed_lookups;
   r.non_indexed_queries = feed.non_indexed;

@@ -71,10 +71,9 @@ class CorruptibleSystem {
     const query::Query msd = corpus_->article(0).msd();
     for (const index::Mapping& m : scheme_.mappings_for(msd)) {
       if (m.target.canonical() != msd.canonical()) continue;
-      const auto& constraints = m.source.constraints();
       const bool has_title =
-          std::any_of(constraints.begin(), constraints.end(),
-                      [](const query::Constraint& c) { return c.path.front() == "title"; });
+          std::ranges::any_of(m.source.constraints(),
+                              [](query::ConstraintView c) { return c.first_step() == "title"; });
       if (!has_title) continue;  // keep the conf+year hop intact
       bool source_now_empty = false;
       ASSERT_TRUE(service_.remove(m.source, m.target, source_now_empty));

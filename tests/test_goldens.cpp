@@ -4,8 +4,9 @@
 // worlds under every scheme, cache policy and substrate, with replication,
 // churn and chaos schedules, each in-process cell with an event-queue twin,
 // plus streaming worlds at one and two shards. Each cell is rendered as one
-// line holding every SimulationResults field except the three
-// machine-dependent ones (build_wall_s, feed_wall_s, peak_rss_bytes):
+// line holding every SimulationResults field except the four
+// machine-dependent ones (build_wall_s, feed_wall_s, peak_rss_bytes,
+// build_heap_bytes):
 // doubles printed with %.17g, messages/bytes per category of both `ledger`
 // and `wire_ledger`, and the full node_load_fractions vector. Every line
 // must match tests/goldens/simulation_cells.txt byte for byte, so a change

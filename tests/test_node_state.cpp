@@ -34,7 +34,7 @@ using query::Query;
 /// constraint, with no cache carried over.
 std::uint64_t recomputed_signature(const Query& q) {
   Query rebuilt{q.root()};
-  for (const query::Constraint& c : q.constraints()) rebuilt.add_constraint(c);
+  for (const query::ConstraintView c : q.constraints()) rebuilt.add_constraint(c.to_constraint());
   return rebuilt.signature();
 }
 

@@ -98,6 +98,30 @@ TEST(Snapshot, RoundTripKeepsEveryNodesRecordsUnderReplication) {
   }
 }
 
+TEST(Snapshot, RoundTripKeepsValuesWithEdgeWhitespace) {
+  // The snapshot stores canonical strings and load_snapshot parses them, so
+  // a value with a leading or trailing blank must come back unchanged: the
+  // restored pool holds the same MSD, under the same key.
+  biblio::Article a;
+  a.first_name = "John";
+  a.last_name = "Smith";
+  a.title = " Leading blank";
+  a.conference = "INFOCOM ";
+  a.year = 1996;
+  World original{10};
+  index::IndexBuilder builder{original.service, original.store, index::IndexingScheme::simple()};
+  builder.index_file(a.descriptor(), a.file_name(), a.file_bytes);
+
+  World restored{10};
+  load_snapshot(save_snapshot(original.service, original.store), restored.service,
+                restored.store);
+  EXPECT_NE(restored.service.interner().find_existing(a.msd()), nullptr);
+  EXPECT_EQ(restored.service.totals().keys, original.service.totals().keys);
+  index::LookupEngine engine{restored.service, restored.store, {index::CachePolicy::kNone}};
+  EXPECT_TRUE(engine.resolve(a.author_query(), a.msd()).found);
+  EXPECT_TRUE(engine.resolve(a.title_query(), a.msd()).found);
+}
+
 TEST(Snapshot, RestoreUnderDifferentMembership) {
   // A snapshot taken on a 20-node network restores onto a 35-node network:
   // entries re-place through the new DHT automatically.

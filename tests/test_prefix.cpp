@@ -19,8 +19,8 @@ using query::Query;
 TEST(PrefixQuery, ParseAndCanonicalRoundTrip) {
   const Query q = Query::parse("/article[author/last^=Sm]");
   ASSERT_EQ(q.constraints().size(), 1u);
-  EXPECT_TRUE(q.constraints()[0].value_is_prefix);
-  EXPECT_EQ(q.constraints()[0].value, "Sm");
+  EXPECT_TRUE(q.constraints()[0].value_is_prefix());
+  EXPECT_EQ(q.constraints()[0].value(), "Sm");
   const Query reparsed = Query::parse(q.canonical());
   EXPECT_EQ(reparsed, q);
 }

@@ -84,7 +84,9 @@ TEST(QuerySignature, RecomputedAfterEveryMutator) {
   // signature is computed from scratch.
   const auto fresh = [](const Query& q) {
     Query rebuilt{q.root()};
-    for (const query::Constraint& c : q.constraints()) rebuilt.add_constraint(c);
+    for (const query::ConstraintView c : q.constraints()) {
+      rebuilt.add_constraint(c.to_constraint());
+    }
     return rebuilt.signature();
   };
   Query q = Query::parse("/article[author/last=Smith]");
@@ -150,7 +152,7 @@ TEST(QueryInternerTest, PointersStayValidAsThePoolGrows) {
     interner.intern(Query{"article"}.add_field("title", "t" + std::to_string(i)));
   }
   for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(first_batch[i]->constraints().front().value,
+    EXPECT_EQ(first_batch[i]->constraints().front().value(),
               std::to_string(1980 + i));
     EXPECT_EQ(first_batch[i],
               interner.intern(Query{"article"}.add_field("year", std::to_string(1980 + i))));

@@ -159,10 +159,15 @@ TEST(ConstraintImplies, ValueRules) {
   presence.path = {"author", "last"};
   Constraint doe = smith;
   doe.value = "Doe";
-  EXPECT_TRUE(constraint_implies(smith, presence));
-  EXPECT_FALSE(constraint_implies(presence, smith));
-  EXPECT_FALSE(constraint_implies(doe, smith));
-  EXPECT_TRUE(constraint_implies(smith, smith));
+  // Views live in a query; each of these holds one constraint.
+  const Query smith_q = Query{"article"}.add_constraint(smith);
+  const Query presence_q = Query{"article"}.add_constraint(presence);
+  const Query doe_q = Query{"article"}.add_constraint(doe);
+  const auto only = [](const Query& q) { return q.constraints().front(); };
+  EXPECT_TRUE(constraint_implies(only(smith_q), only(presence_q)));
+  EXPECT_FALSE(constraint_implies(only(presence_q), only(smith_q)));
+  EXPECT_FALSE(constraint_implies(only(doe_q), only(smith_q)));
+  EXPECT_TRUE(constraint_implies(only(smith_q), only(smith_q)));
 }
 
 // Property tests over a generated family of queries.

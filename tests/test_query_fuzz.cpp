@@ -5,6 +5,7 @@
 // signature must never reject a query that covers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -201,8 +202,9 @@ Query random_any_query(Rng& rng) {
 /// and now and then the root widened to "*".
 Query random_generalization(const Query& q, Rng& rng) {
   Query g{rng.next_bool(0.2) ? "*" : q.root()};
-  for (Constraint c : q.constraints()) {
+  for (const ConstraintView view : q.constraints()) {
     if (rng.next_bool(0.3)) continue;
+    Constraint c = view.to_constraint();
     if (c.value && !c.value_is_prefix && rng.next_bool(0.2)) {
       c.value = c.value->substr(0, 1);
       c.value_is_prefix = true;
@@ -244,6 +246,48 @@ TEST_P(QuerySignatureFuzz, CoversImpliesSignatureSubset) {
   // the pairs that do not cover.
   EXPECT_GT(covering_with_bits, 1000u);
   EXPECT_GT(rejected, 1000u);
+}
+
+TEST_P(QuerySignatureFuzz, CanonicalFormIsTheQuerysIdentity) {
+  // Over the same generator: two queries are equal exactly when their
+  // canonical strings are, and exactly when their roots and constraint
+  // values are; the canonical string parses back to the query; constraints()
+  // come out strictly ascending under Constraint::operator<=>, and views
+  // compare as the values they hold.
+  Rng rng{GetParam() ^ 0x1d3a};
+  const auto values = [](const Query& q) {
+    std::vector<Constraint> out;
+    for (const ConstraintView c : q.constraints()) out.push_back(c.to_constraint());
+    return out;
+  };
+  std::size_t equal_pairs = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const Query b = random_any_query(rng);
+    const Query a = i % 2 == 0 ? random_any_query(rng) : random_generalization(b, rng);
+    const std::vector<Constraint> av = values(a);
+    const std::vector<Constraint> bv = values(b);
+    const bool same_text = a.canonical() == b.canonical();
+    EXPECT_EQ(a == b, same_text) << a.canonical() << " vs " << b.canonical();
+    EXPECT_EQ(a.root() == b.root() && av == bv, same_text)
+        << a.canonical() << " vs " << b.canonical();
+    if (same_text) ++equal_pairs;
+    for (const Query* q : {&a, &b}) {
+      EXPECT_EQ(Query::parse(q->canonical()), *q) << q->canonical();
+      const std::vector<Constraint>& v = q == &a ? av : bv;
+      EXPECT_TRUE(std::adjacent_find(v.begin(), v.end(), [](const Constraint& x,
+                                                            const Constraint& y) {
+                    return !(x < y);
+                  }) == v.end())
+          << q->canonical();
+    }
+    for (std::size_t x = 0; x < av.size(); ++x) {
+      for (std::size_t y = 0; y < bv.size(); ++y) {
+        EXPECT_EQ(a.constraints()[x] <=> b.constraints()[y], av[x] <=> bv[y])
+            << a.constraints()[x].text() << " vs " << b.constraints()[y].text();
+      }
+    }
+  }
+  EXPECT_GT(equal_pairs, 100u);  // not vacuous: the generalizations often equal b
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QuerySignatureFuzz, ::testing::Range<std::uint64_t>(0, 4));
