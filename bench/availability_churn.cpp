@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
   base.churn.drop_probability = args.drop_probability;
   base.churn.republish_interval =
       args.republish_interval != 0 ? args.republish_interval : args.queries / 10;
-  base.churn.crash_point = 0.5;
 
   const biblio::Corpus corpus = biblio::Corpus::generate(base.corpus);
 

@@ -240,7 +240,12 @@ void LookupEngine::create_shortcuts(const std::vector<std::pair<Id, const Query*
   net::FailureInjector* failures = service_.failures();
   const std::size_t count = multi_placement(config_.policy) ? asked.size() : 1;
   // `asked` never holds the MSD itself: resolve adds a query only after its
-  // final-step test failed.
+  // final-step test failed. A pair the session hit and touched is installed
+  // again on purpose: in a deferred epoch an earlier session's delta can
+  // evict it before this one applies, and under multi placement another
+  // install on the node can reorder it, so the install re-creates or
+  // promotes it. When the pair is still there, apply_cache_delta charges
+  // nothing.
   for (std::size_t i = 0; i < count; ++i) {
     const auto& [node, q] = asked[i];
     if (failures != nullptr && failures->is_crashed(node)) continue;  // dead, no cache

@@ -7,30 +7,9 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "net/retry.hpp"
 
 namespace dhtidx::index {
-
-bool IndexService::try_deliver(const Id& target, std::uint64_t request_bytes,
-                               int& rpc_failures, const net::Message& lost) {
-  if (failures_ == nullptr) return true;
-  const std::size_t attempts = std::max<std::size_t>(retry_.attempts_per_replica, 1);
-  for (std::size_t attempt = 1; attempt <= attempts; ++attempt) {
-    try {
-      failures_->check_delivery(target);
-      return true;
-    } catch (const net::RpcError&) {
-      // The attempt consumed the network even though it failed. The bytes
-      // land under `retries` only -- the delivered attempt (if any) is what
-      // gets charged to `queries`, so the category split stays exclusive.
-      ++rpc_failures;
-      net::active(ledger_).retries.record(request_bytes);
-      if (bus_ != nullptr) bus_->record_lost(lost);
-      const double backoff = retry_.backoff_before_retry(attempt);
-      if (backoff > 0.0) backoff_ms_ += backoff;
-    }
-  }
-  return false;
-}
 
 net::Message IndexService::wire_request(net::Action action, const Id& node,
                                         const query::Query& q) const {
@@ -178,11 +157,16 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
   std::size_t contacted = 0;
   for (const Id& replica : candidates) {
     if (contacted >= replication_) break;
-    // The request each failed attempt records as a lost frame; only an
-    // injector fails an attempt.
-    net::Message lost;
-    if (failures_ != nullptr && bus_ != nullptr) lost = wire_request(action, replica, q);
-    if (!try_deliver(replica, request_bytes, result.rpc_failures, lost)) continue;
+    // A failed attempt consumed the network even though it failed. Its bytes
+    // land under `retries` only -- the delivered attempt (if any) is what
+    // gets charged to `queries`, so the category split stays exclusive.
+    const bool delivered = net::deliver_with_retries(failures_, replica, [&](double wait_ms) {
+      ++result.rpc_failures;
+      net::active(ledger_).retries.record(request_bytes);
+      if (bus_ != nullptr) bus_->record_lost(wire_request(action, replica, q));
+      backoff_ms_ += wait_ms;
+    });
+    if (!delivered) continue;
     ++contacted;
     net::active(ledger_).queries.record(request_bytes);
     if (bus_ != nullptr) wire_lookup(q, replica, action, consider_cache);

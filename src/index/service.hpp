@@ -8,9 +8,9 @@
 // Fault tolerance (Section IV-D: the index "benefits from the mechanisms
 // implemented by the DHT substrate ... such as data replication"): mappings
 // are placed PAST-style on the first `replication` live nodes of the key's
-// substrate replica set, lookups fail over across surviving replicas under a
-// RetryPolicy, and rebalance() migrates/repairs entries after churn the same
-// way DhtStore::rebalance does for stored records.
+// substrate replica set, lookups fail over across surviving replicas under
+// net::kRetryPolicy, and rebalance() migrates/repairs entries after churn the
+// same way DhtStore::rebalance does for stored records.
 //
 // The service owns the query pool, a QueryInterner holding one immutable
 // Query instance per distinct query across the whole index. Per-node states,
@@ -32,7 +32,6 @@
 #include "index/node_state.hpp"
 #include "net/bus.hpp"
 #include "net/failure.hpp"
-#include "net/retry.hpp"
 #include "net/stats.hpp"
 #include "query/interner.hpp"
 #include "query/query.hpp"
@@ -187,9 +186,6 @@ class IndexService {
   void set_failures(net::FailureInjector* failures) { failures_ = failures; }
   net::FailureInjector* failures() const { return failures_; }
 
-  void set_retry_policy(const net::RetryPolicy& policy) { retry_ = policy; }
-  const net::RetryPolicy& retry_policy() const { return retry_; }
-
   /// Routes this service's RPCs (publish, lookup, search-all, remove,
   /// replicate, repair) through a message bus: every operation additionally
   /// travels as a typed net::Message whose serialized size lands in the
@@ -214,14 +210,6 @@ class IndexService {
   Totals totals() const;
 
  private:
-  /// Attempts delivery to `target` under the retry policy. Returns true when
-  /// a delivery got through; each failed attempt counts into `rpc_failures`
-  /// and the retry ledger, and backoff adds to retry_backoff_ms(). With a
-  /// bus attached, each failed attempt is also recorded as the lost frame
-  /// `lost` in the bus's measured ledger.
-  bool try_deliver(const Id& target, std::uint64_t request_bytes, int& rpc_failures,
-                   const net::Message& lost);
-
   /// Runs the lookup RPC for `q` against `node` over the bus: request out,
   /// response built from the node's live index state (and shortcut bucket
   /// when `consider_cache`) at delivery time.
@@ -243,7 +231,6 @@ class IndexService {
   std::size_t replication_;
   net::FailureInjector* failures_ = nullptr;
   net::MessageBus* bus_ = nullptr;
-  net::RetryPolicy retry_;
   double backoff_ms_ = 0.0;
   std::unique_ptr<query::QueryInterner> interner_;
 

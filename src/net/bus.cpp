@@ -24,7 +24,7 @@ Message MessageBus::exchange(Message request, const Server& serve) {
       transport_.pump();
       continue;
     }
-    if (retransmits >= max_retransmits_) {
+    if (retransmits >= kMaxRetransmits) {
       servers_.erase(id);
       served_responses_.erase(id);
       throw Error{"message bus: transport drained without a response to " +
@@ -64,7 +64,7 @@ void MessageBus::sync() {
     // Fully drained with posts still pending: those frames were lost on the
     // wire. Retransmit them in ascending id order (the map iteration order is
     // not deterministic, the sort is) under the timeout budget.
-    if (rounds >= max_retransmits_) {
+    if (rounds >= kMaxRetransmits) {
       throw Error{"message bus: " + std::to_string(pending_posts_.size()) +
                   " posted messages were never delivered"};
     }
@@ -168,12 +168,12 @@ void MessageBus::discard_duplicate(std::uint64_t wire_bytes) {
 
 void MessageBus::backoff(std::size_t round) {
   if (round == 0) return;
-  // Exponential per RetryPolicy, capped at 32x so a deep retransmission
+  // Exponential per kRetryPolicy, capped at 32x so a deep retransmission
   // budget cannot dominate the virtual clock (and thus convergence times).
-  const double cap = retry_.backoff_ms * 32.0;
-  double wait = retry_.backoff_ms;
+  const double cap = kRetryPolicy.backoff_ms * 32.0;
+  double wait = kRetryPolicy.backoff_ms;
   for (std::size_t i = 1; i < round && wait < cap; ++i) {
-    wait *= retry_.backoff_multiplier;
+    wait *= kRetryPolicy.backoff_multiplier;
   }
   transport_.wait(std::min(wait, cap));
 }

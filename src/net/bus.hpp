@@ -19,8 +19,9 @@
 // non-idempotent appliers (publish/remove/replicate/shortcut-install) run
 // exactly once per id. When the transport drains without the expected
 // response/ack (an adversarial drop), exchange() and sync() retransmit the
-// original frame under a bounded end-to-end timeout budget whose backoff
-// composes with RetryPolicy and is charged to the transport's virtual clock.
+// original frame under a bounded end-to-end timeout budget (kMaxRetransmits)
+// whose backoff follows kRetryPolicy and is charged to the transport's
+// virtual clock.
 //
 // The measured ledger mirrors the analytic one kept by the services, but its
 // byte counts come from codec frame sizes instead of the paper's per-message
@@ -51,6 +52,11 @@ class MessageBus : public MessageSink {
   using Server = std::function<Message(const Message&)>;
   /// Applies a delivered one-way message.
   using Applier = std::function<void(const Message&)>;
+
+  /// End-to-end budget: how many times one frame may be retransmitted before
+  /// exchange()/sync() give up. The waits between retransmissions follow
+  /// kRetryPolicy's backoff schedule (its attempts_per_replica is not used).
+  static constexpr std::size_t kMaxRetransmits = 12;
 
   explicit MessageBus(Transport& transport) : transport_(transport) {
     transport_.set_sink(this);
@@ -85,16 +91,6 @@ class MessageBus : public MessageSink {
   /// MessageSink: accounts a frame the codec rejected.
   void on_rejected(std::uint64_t wire_bytes) override;
 
-  /// Backoff schedule for timeout-driven retransmissions (the bus reuses the
-  /// RetryPolicy shape; attempts_per_replica is ignored here — the budget is
-  /// max_retransmits()).
-  void set_retry_policy(const RetryPolicy& retry) { retry_ = retry; }
-
-  /// End-to-end budget: how many times one frame may be retransmitted before
-  /// exchange()/sync() give up.
-  void set_max_retransmits(std::size_t budget) { max_retransmits_ = budget; }
-  std::size_t max_retransmits() const { return max_retransmits_; }
-
   TrafficLedger& measured() { return measured_; }
   const TrafficLedger& measured() const { return measured_; }
   Transport& transport() { return transport_; }
@@ -124,14 +120,12 @@ class MessageBus : public MessageSink {
   void discard_duplicate(std::uint64_t wire_bytes);
 
   /// Charges the backoff before retransmission `round` (1-based) to the
-  /// transport's virtual clock. Exponential per RetryPolicy, capped so a
+  /// transport's virtual clock. Exponential per kRetryPolicy, capped so a
   /// deep budget cannot blow up virtual time.
   void backoff(std::size_t round);
 
   Transport& transport_;
   TrafficLedger measured_;
-  RetryPolicy retry_;
-  std::size_t max_retransmits_ = 12;
   std::uint64_t next_request_id_ = 1;
   std::uint64_t exchanges_ = 0;
   std::uint64_t posts_ = 0;

@@ -1,15 +1,23 @@
-// Retry policy for RPCs issued against a lossy substrate.
+// The retry policy for RPCs issued against a lossy substrate, and the one
+// attempt loop that applies it.
 //
 // A lookup that hits a dead node or a dropped message should not kill the
 // whole session: the caller retries the same replica a bounded number of
-// times, then fails over to the next replica. The policy only describes the
-// budget and the exponential backoff schedule; the caller owns the loop so it
-// can account each failed attempt as retry traffic in the TrafficLedger.
-// IndexService adds the backoff up as virtual time (retry_backoff_ms(), a
-// simulation result field); the storage layer counts attempts only.
+// times, then fails over to the next replica. Every run uses one policy,
+// kRetryPolicy: two attempts per replica, and a 200 ms wait before the retry.
+// deliver_with_retries() is the loop that IndexService and DhtStore share. It
+// reports each failed attempt to the caller, which charges the attempt as
+// retry traffic in its TrafficLedger and records the lost frame on the bus.
+// IndexService also adds each reported wait up as virtual time
+// (retry_backoff_ms(), a simulation result field); the storage layer counts
+// attempts only. The message bus reuses the backoff schedule for its
+// timeout-driven retransmissions.
 #pragma once
 
 #include <cstddef>
+
+#include "common/id.hpp"
+#include "net/failure.hpp"
 
 namespace dhtidx::net {
 
@@ -36,5 +44,27 @@ struct RetryPolicy {
     return wait;
   }
 };
+
+/// The retry policy of every delivery and retransmission.
+inline constexpr RetryPolicy kRetryPolicy{};
+
+/// Attempts delivery to `target` under kRetryPolicy and returns true once an
+/// attempt gets through. Each failed attempt calls `on_failure(wait_ms)` in
+/// attempt order, where `wait_ms` is the backoff before the next attempt (0
+/// after the last one). Without an injector every delivery succeeds.
+template <typename OnFailure>
+bool deliver_with_retries(FailureInjector* failures, const Id& target,
+                          OnFailure&& on_failure) {
+  if (failures == nullptr) return true;
+  for (std::size_t attempt = 1; attempt <= kRetryPolicy.attempts_per_replica; ++attempt) {
+    try {
+      failures->check_delivery(target);
+      return true;
+    } catch (const RpcError&) {
+      on_failure(kRetryPolicy.backoff_before_retry(attempt));
+    }
+  }
+  return false;
+}
 
 }  // namespace dhtidx::net

@@ -12,7 +12,7 @@ namespace dhtidx::net {
 std::uint64_t EventQueueTransport::send(const Message& message) {
   std::string frame = codec::encode(message);
   const std::uint64_t wire_bytes = frame.size();
-  double deliver_at_ms = clock_ms_ + hop_delay_ms_;
+  double deliver_at_ms = clock_ms_ + kHopDelayMs;
   if (chaos_ != nullptr) {
     const FramePlan plan = chaos_->plan_frame(message.from, message.to);
     switch (plan.fault) {

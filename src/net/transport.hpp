@@ -5,12 +5,13 @@
 // pump(), so a caller's state is settled before any delivery runs.
 //
 // EventQueueTransport is the one implementation, a deterministic
-// discrete-event queue. send() encodes the frame and schedules it at
-// now + hop_delay; pump() delivers queued frames in (deliver_at, sequence)
-// order, decoding each one, so every delivered message has survived a real
-// round trip. With the default constant hop delay the delivery order equals
-// send order. Every frame is encoded on its own and queued alone, so chaos
-// faults act on single frames.
+// discrete-event queue. send() encodes the frame and schedules it one
+// constant hop delay (1 ms) later; pump() delivers queued frames in
+// (deliver_at, sequence) order, decoding each one, so every delivered message
+// has survived a real round trip. Because the hop delay is constant, the
+// delivery order equals send order unless chaos delays a frame. Every frame
+// is encoded on its own and queued alone, so chaos faults act on single
+// frames.
 //
 // Transports know nothing about RPC semantics; pairing requests with
 // responses and accounting bytes into a TrafficLedger is the MessageBus's job
@@ -71,10 +72,9 @@ class Transport {
 /// advances to each frame's delivery instant as pump() drains the queue.
 class EventQueueTransport : public Transport {
  public:
-  /// `hop_delay_ms` is charged to every frame. Constant by default so the
-  /// delivery order is exactly the send order (FIFO).
-  explicit EventQueueTransport(double hop_delay_ms = 1.0)
-      : hop_delay_ms_(hop_delay_ms) {}
+  /// Virtual latency of every frame. Constant, so the delivery order is
+  /// exactly the send order (FIFO) unless chaos delays a frame.
+  static constexpr double kHopDelayMs = 1.0;
 
   const char* name() const override { return "event-queue"; }
 
@@ -119,7 +119,6 @@ class EventQueueTransport : public Transport {
     }
   };
 
-  double hop_delay_ms_;
   double clock_ms_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t delivered_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rss.hpp"
@@ -86,6 +88,16 @@ struct Overlay {
   std::optional<dht::PastryNetwork> pastry;
 };
 
+/// Feed positions of the churn and chaos events, as fractions of the feed.
+constexpr double kCrashPoint = 0.5;
+constexpr double kChaosStartPoint = 0.25;
+constexpr double kChaosHealPoint = 0.75;
+
+/// The first session at or past `point` of a feed of `queries` sessions.
+std::size_t feed_position(std::size_t queries, double point) {
+  return static_cast<std::size_t>(static_cast<double>(queries) * point);
+}
+
 /// A deterministic sample of `fraction` of the members, drawn from `seed`:
 /// the nodes a churn crash or a chaos partition hits.
 std::vector<Id> sample_nodes(const dht::Dht& dht, std::uint64_t seed, double fraction) {
@@ -109,6 +121,35 @@ void check_config(const SimulationConfig& config, const biblio::Corpus* shared_c
   // a node to live on.
   if (config.queries == 0) throw InvariantError("simulation needs at least one query");
   if (config.nodes == 0) throw InvariantError("simulation needs at least one node");
+  // A negative fraction would wrap to a huge node count in sample_nodes, and
+  // a NaN switches off the schedule it belongs to. Checked whether or not
+  // that schedule runs.
+  const std::pair<const char*, double> fractions[] = {
+      {"churn.crash_fraction", config.churn.crash_fraction},
+      {"churn.drop_probability", config.churn.drop_probability},
+      {"chaos.drop_probability", config.chaos.drop_probability},
+      {"chaos.duplicate_probability", config.chaos.duplicate_probability},
+      {"chaos.reorder_probability", config.chaos.reorder_probability},
+      {"chaos.corrupt_probability", config.chaos.corrupt_probability},
+      {"chaos.delay_probability", config.chaos.delay_probability},
+      {"chaos.partition_fraction", config.chaos.partition_fraction},
+  };
+  for (const auto& [name, value] : fractions) {
+    if (!(value >= 0.0 && value <= 1.0)) {
+      throw InvariantError(std::string(name) + " must lie in [0, 1], not " +
+                           std::to_string(value));
+    }
+  }
+  // The capacity is what makes a cache an LRU one: an unbounded policy with
+  // a capacity would evict, and an LRU policy without one would not.
+  if (index::bounded_cache(config.policy) && config.cache_capacity == 0) {
+    throw InvariantError(index::to_string(config.policy) + " needs a cache capacity > 0");
+  }
+  if (index::caching_enabled(config.policy) && !index::bounded_cache(config.policy) &&
+      config.cache_capacity != 0) {
+    throw InvariantError(index::to_string(config.policy) +
+                         " is unbounded and takes no cache capacity");
+  }
   if (config.chaos.enabled()) {
     if (config.transport != TransportKind::kEventQueue) {
       throw InvariantError(
@@ -192,13 +233,8 @@ SimulationResults run_simulation(const SimulationConfig& config,
     injector.emplace(config.seed ^ 0xFA11C0DEull);
     service.set_failures(&*injector);
     store.set_failures(&*injector);
-    service.set_retry_policy(config.retry);
-    store.set_retry_policy(config.retry);
   }
-  if (chaos_enabled) {
-    bus->set_retry_policy(config.retry);
-    event_queue->set_chaos(&*injector);
-  }
+  if (chaos_enabled) event_queue->set_chaos(&*injector);
   // The publisher of churn runs' republish rounds, and the audit's scheme.
   index::IndexBuilder builder{service, store, index::IndexingScheme::make(config.scheme)};
 
@@ -271,21 +307,14 @@ SimulationResults run_simulation(const SimulationConfig& config,
   // fires before the first session at or past its point.
   const bool churn_enabled = config.churn.enabled();
   const std::size_t crash_at =
-      churn_enabled ? std::min(config.queries,
-                               static_cast<std::size_t>(static_cast<double>(config.queries) *
-                                                        config.churn.crash_point))
-                    : config.queries;
+      churn_enabled ? feed_position(config.queries, kCrashPoint) : config.queries;
   bool churned = false;
   std::vector<Id> crashed_ids;
   const std::size_t chaos_start_at =
-      chaos_enabled ? static_cast<std::size_t>(static_cast<double>(config.queries) *
-                                               config.chaos.start_point)
-                    : config.queries;
+      chaos_enabled ? feed_position(config.queries, kChaosStartPoint) : config.queries;
   const std::size_t chaos_heal_at =
       chaos_enabled
-          ? std::max(chaos_start_at + 1,
-                     static_cast<std::size_t>(static_cast<double>(config.queries) *
-                                              config.chaos.heal_point))
+          ? std::max(chaos_start_at + 1, feed_position(config.queries, kChaosHealPoint))
           : config.queries;
   bool chaos_started = false;
   bool chaos_healed = false;
@@ -334,15 +363,14 @@ SimulationResults run_simulation(const SimulationConfig& config,
       // The adversary wakes up: frames start suffering seeded faults and a
       // deterministic node sample is cut off behind an asymmetric partition.
       // Unlike a crash, partitioned nodes keep their disks — the interesting
-      // failure mode is the stale state they host until the heal.
+      // failure mode is the stale state they host until the heal. The delay
+      // and reorder window are the profile's own.
       net::ChaosProfile profile;
       profile.drop_probability = config.chaos.drop_probability;
       profile.corrupt_probability = config.chaos.corrupt_probability;
       profile.duplicate_probability = config.chaos.duplicate_probability;
       profile.delay_probability = config.chaos.delay_probability;
-      profile.delay_ms = config.chaos.delay_ms;
       profile.reorder_probability = config.chaos.reorder_probability;
-      profile.reorder_window_ms = config.chaos.reorder_window_ms;
       injector->set_profile(profile);
       if (config.chaos.partition_fraction > 0.0) {
         const std::vector<Id> victims =
@@ -364,8 +392,9 @@ SimulationResults run_simulation(const SimulationConfig& config,
                                             at_epoch_start, crash_at, config.queries);
   feed.merge(after_churn);
 
-  // Short feeds (or heal_point >= 1.0) can end before the scheduled heal;
-  // force it so metrics and the post-run audit always see a healed network.
+  // A feed too short to reach its heal session ends before the scheduled
+  // heal; force it so metrics and the post-run audit always see a healed
+  // network.
   if (chaos_started && !chaos_healed) heal();
 
   // --- collect metrics -------------------------------------------------------
@@ -488,7 +517,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
   // membership is cleaned up, placement is rebalanced and publishers
   // re-announce, so the post-run audit checks a repaired, replica-consistent
   // world. (All maintenance traffic, not part of the measurements above.)
-  if ((churned || chaos_started) && config.churn.repair_at_end) {
+  if (churned || chaos_started) {
     injector->set_drop_probability(0.0);
     for (const Id& dead : crashed_ids) {
       overlay.ring->remove(dead);
@@ -522,8 +551,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
   // must actually be quiescent, so invariant 9 is enforced rather than
   // skipped.
   audit_options.chaos = injector ? &*injector : nullptr;
-  audit_options.require_quiescent =
-      (churned || chaos_started) && config.churn.repair_at_end;
+  audit_options.require_quiescent = churned || chaos_started;
   audit::audit_or_throw("post-run", ring, service, store, audit_options);
 #endif
 

@@ -20,7 +20,6 @@
 #include "biblio/corpus.hpp"
 #include "index/builder.hpp"
 #include "index/lookup.hpp"
-#include "net/retry.hpp"
 #include "sim/metrics.hpp"
 
 namespace dhtidx::sim {
@@ -31,11 +30,14 @@ namespace dhtidx::sim {
 enum class Substrate { kRing, kChord, kCan, kPastry };
 
 /// Mid-run failure schedule (all off by default -- the paper's failure-free
-/// runs). At the crash point a deterministic sample of nodes loses its disk
-/// and stops answering (the substrate does not notice: lookups fail over to
-/// surviving replicas), fresh nodes may join, and links may start dropping
-/// messages. Only the Ring substrate supports churn runs; ChordNetwork has
-/// its own protocol-level churn tests.
+/// runs). At the crash point, halfway through the feed, a deterministic
+/// sample of nodes loses its disk and stops answering (the substrate does not
+/// notice: lookups fail over to surviving replicas), fresh nodes may join,
+/// and links may start dropping messages. After the feed the run repairs
+/// placement (rebalance() + a full republish), so the post-run audit sees a
+/// repaired, replica-consistent world. Only the Ring substrate supports churn
+/// runs; ChordNetwork has its own protocol-level churn tests. Fractions and
+/// probabilities must lie in [0, 1].
 struct ChurnConfig {
   double crash_fraction = 0.0;    ///< fraction of nodes crashed at the point
   std::size_t joins = 0;          ///< fresh nodes added at the point
@@ -43,35 +45,29 @@ struct ChurnConfig {
   /// Queries between publisher soft-state refreshes after the crash point
   /// (re-announce of records + index mappings); 0 = publishers never refresh.
   std::size_t republish_interval = 0;
-  double crash_point = 0.5;       ///< position in the feed (fraction of queries)
-  /// Run rebalance() + a full republish after the feed so the post-run audit
-  /// sees a repaired, replica-consistent world.
-  bool repair_at_end = true;
 
   bool enabled() const {
     return crash_fraction > 0.0 || joins > 0 || drop_probability > 0.0;
   }
 };
 
-/// Mid-run adversarial network schedule (all off by default). Between the
-/// start and heal points, frames on the event-queue transport suffer seeded
+/// Mid-run adversarial network schedule (all off by default). From 25% of
+/// the feed to 75% of it, frames on the event-queue transport suffer seeded
 /// drop/duplicate/reorder/delay/corrupt faults and an optional asymmetric
 /// partition isolates a node sample. At the heal point every fault clears and
-/// the partition heals; the end-of-feed repair pass (ChurnConfig::
-/// repair_at_end) then re-converges the index, and convergence_ms measures
-/// how much virtual time that took. Chaos runs require the Ring substrate and
-/// the event-queue transport (frame faults act on queued frames).
+/// the partition heals; the end-of-feed repair pass then re-converges the
+/// index, and convergence_ms measures how much virtual time that took. A
+/// delayed frame arrives 25 ms late and a reordered one up to 8 ms late
+/// (net::ChaosProfile's delay and window). Chaos runs require the Ring
+/// substrate and the event-queue transport (frame faults act on queued
+/// frames). Probabilities and fractions must lie in [0, 1].
 struct ChaosConfig {
   double drop_probability = 0.0;       ///< per-frame loss
   double duplicate_probability = 0.0;  ///< per-frame duplication
   double reorder_probability = 0.0;    ///< per-frame jitter within the window
-  double reorder_window_ms = 8.0;
   double corrupt_probability = 0.0;    ///< per-frame bit corruption
   double delay_probability = 0.0;      ///< per-frame slow-link episode
-  double delay_ms = 25.0;
   double partition_fraction = 0.0;     ///< fraction of nodes isolated
-  double start_point = 0.25;           ///< position in the feed (fraction)
-  double heal_point = 0.75;            ///< must be > start_point
 
   bool enabled() const {
     return drop_probability > 0.0 || duplicate_probability > 0.0 ||
@@ -87,7 +83,9 @@ struct SimulationConfig {
   Substrate substrate = Substrate::kRing;
   index::SchemeKind scheme = index::SchemeKind::kSimple;
   index::CachePolicy policy = index::CachePolicy::kNone;
-  std::size_t cache_capacity = 0;  ///< per node; 0 = unbounded (for LRU use 10/20/30)
+  /// Shortcuts per node: > 0 for the LRU policies (the paper uses 10/20/30),
+  /// 0 for the unbounded ones.
+  std::size_t cache_capacity = 0;
   std::uint64_t seed = 7;
 
   biblio::CorpusConfig corpus;  ///< corpus.articles defaults to 10,000
@@ -102,9 +100,6 @@ struct SimulationConfig {
   /// Copies of every index mapping and stored record (1 = the paper's
   /// single-copy baseline; >= 2 enables replica failover).
   std::size_t replication = 1;
-
-  /// Retry budget for deliveries once failures are injected.
-  net::RetryPolicy retry;
 
   /// Mid-run failure schedule; disabled by default.
   ChurnConfig churn;

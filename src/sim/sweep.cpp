@@ -94,15 +94,6 @@ class ErrorCollector {
 
 }  // namespace
 
-std::uint64_t derive_cell_seed(std::uint64_t base_seed, std::size_t cell_index) {
-  // SplitMix64 finalizer over the pair: each (base, index) lands on an
-  // independent-looking seed, identical on every platform and thread count.
-  std::uint64_t z = base_seed + 0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(cell_index) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 void parallel_for(std::size_t jobs, std::size_t count,
                   const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
@@ -157,9 +148,6 @@ SweepSummary SweepRunner::run(const std::vector<SimulationConfig>& cells,
     CellResult& cell = summary.cells[i];
     cell.index = i;
     cell.config = cells[i];
-    if (options_.base_seed) {
-      cell.config.seed = derive_cell_seed(*options_.base_seed, i);
-    }
     const auto cell_start = std::chrono::steady_clock::now();
     cell.results = run_simulation(cell.config, shared_corpus);
     cell.wall_seconds = seconds_since(cell_start);

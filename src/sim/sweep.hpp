@@ -22,9 +22,8 @@
 // Clang to prove the locking discipline at compile time).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,16 +36,10 @@ namespace dhtidx::sim {
 struct SweepOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   std::size_t jobs = 0;
-
-  /// When set, cell i runs with seed derive_cell_seed(*base_seed, i) instead
-  /// of the seed in its config. The paper's benches leave this unset so every
-  /// cell sees the same query feed (the figures compare schemes/policies on
-  /// one workload); multi-seed confidence runs set it to decorrelate cells.
-  std::optional<std::uint64_t> base_seed;
 };
 
-/// One executed cell: the effective config (seed already derived), its
-/// measurements, and how long it took on its worker.
+/// One executed cell: its config, its measurements, and how long it took on
+/// its worker.
 struct CellResult {
   std::size_t index = 0;  ///< submission position
   SimulationConfig config;
@@ -61,11 +54,6 @@ struct SweepSummary {
   std::size_t jobs = 0;        ///< workers actually used
   double wall_seconds = 0.0;   ///< end-to-end sweep time
 };
-
-/// Deterministic per-cell seed: a SplitMix64-style mix of (base_seed, index).
-/// Depends only on its arguments -- never on thread count or scheduling -- so
-/// derived-seed sweeps replay bit-identically at any --jobs value.
-std::uint64_t derive_cell_seed(std::uint64_t base_seed, std::size_t cell_index);
 
 /// Runs body(0..count-1), each index at most once, on up to `jobs` worker
 /// threads (0 = hardware concurrency). Fails fast: when a body throws, no

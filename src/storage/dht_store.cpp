@@ -4,27 +4,12 @@
 #include <utility>
 #include <vector>
 
+#include "net/retry.hpp"
+
 namespace dhtidx::storage {
 
 namespace {
 const std::vector<Record> kNoRecords;
-}
-
-bool DhtStore::try_deliver(const Id& target, std::uint64_t request_bytes,
-                           int& rpc_failures, const net::Message* wire) {
-  if (failures_ == nullptr) return true;
-  const std::size_t attempts = std::max<std::size_t>(retry_.attempts_per_replica, 1);
-  for (std::size_t attempt = 1; attempt <= attempts; ++attempt) {
-    try {
-      failures_->check_delivery(target);
-      return true;
-    } catch (const net::RpcError&) {
-      ++rpc_failures;
-      net::active(ledger_).retries.record(request_bytes);
-      if (bus_ != nullptr && wire != nullptr) bus_->record_lost(*wire);
-    }
-  }
-  return false;
 }
 
 net::Message DhtStore::wire_message(net::Action action, const Id& node,
@@ -80,10 +65,14 @@ DhtStore::GetResult DhtStore::get(const Id& key) {
     if (contacted >= replication_) break;
     net::Message wire;
     if (bus_ != nullptr) wire = wire_message(net::Action::kFetch, replica, key, nullptr);
-    if (!try_deliver(replica, request_bytes, result.rpc_failures,
-                     bus_ != nullptr ? &wire : nullptr)) {
-      continue;
-    }
+    // Each failed attempt is charged as retry traffic; unlike the index
+    // service, the store keeps no backoff total.
+    const bool delivered = net::deliver_with_retries(failures_, replica, [&](double) {
+      ++result.rpc_failures;
+      net::active(ledger_).retries.record(request_bytes);
+      if (bus_ != nullptr) bus_->record_lost(wire);
+    });
+    if (!delivered) continue;
     ++contacted;
     net::active(ledger_).queries.record(request_bytes);
     if (bus_ != nullptr) {

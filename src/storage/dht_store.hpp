@@ -4,8 +4,8 @@
 // (resolved through any Dht implementation) and keeps one NodeStore per peer.
 // This is the "Publication index" of Figure 5: the raw key-to-data layer on
 // which the query indexes sit. With a FailureInjector wired in, operations
-// discover dead replicas by timeout (under a RetryPolicy) and fail over to
-// the surviving copies instead of throwing.
+// discover dead replicas by timeout (under net::kRetryPolicy) and fail over
+// to the surviving copies instead of throwing.
 #pragma once
 
 #include "common/flat_map.hpp"
@@ -13,7 +13,6 @@
 #include "dht/dht.hpp"
 #include "net/bus.hpp"
 #include "net/failure.hpp"
-#include "net/retry.hpp"
 #include "net/stats.hpp"
 #include "storage/node_store.hpp"
 
@@ -52,7 +51,7 @@ class DhtStore {
   /// Fetches all records under `key`. The responsible node is asked first;
   /// when it has nothing (e.g. it lost its store in a crash), the remaining
   /// replicas are tried in order, one extra request each. Failed deliveries
-  /// are retried per the retry policy and counted in `rpc_failures`;
+  /// are retried per net::kRetryPolicy and counted in `rpc_failures`;
   /// `unreachable` is set when no replica answered at all.
   struct GetResult {
     const std::vector<Record>* records;  ///< never null; may be empty
@@ -118,8 +117,6 @@ class DhtStore {
   void set_failures(net::FailureInjector* failures) { failures_ = failures; }
   net::FailureInjector* failures() const { return failures_; }
 
-  void set_retry_policy(const net::RetryPolicy& policy) { retry_ = policy; }
-
   /// Routes store/fetch/remove/replicate/repair RPCs through a message bus
   /// (see IndexService::set_bus): each operation additionally travels as a
   /// typed net::Message whose serialized size lands in the bus's measured
@@ -134,13 +131,6 @@ class DhtStore {
   std::size_t total_records() const;
 
  private:
-  /// Attempts delivery to `target` under the retry policy. Each failed
-  /// attempt counts into `rpc_failures` and the retry ledger, and a wire
-  /// message, when given, is recorded as a lost frame. Unlike
-  /// IndexService::try_deliver it keeps no backoff total.
-  bool try_deliver(const Id& target, std::uint64_t request_bytes, int& rpc_failures,
-                   const net::Message* wire = nullptr);
-
   /// Builds a storage-layer wire message carrying `key` (and optionally one
   /// record's kind and payload) from the client to `node`.
   net::Message wire_message(net::Action action, const Id& node, const Id& key,
@@ -154,7 +144,6 @@ class DhtStore {
   std::size_t replication_;
   net::FailureInjector* failures_ = nullptr;
   net::MessageBus* bus_ = nullptr;
-  net::RetryPolicy retry_;
 
   /// Capability over the *structure* of stores_ (which nodes have a store).
   /// Exclusive = may insert/erase stores (serial phases: placement, repair,

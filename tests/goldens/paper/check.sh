@@ -4,9 +4,10 @@
 #
 #   tests/goldens/paper/check.sh [BUILD_DIR]        (default: build)
 #
-# BUILD_DIR must hold the bench binaries (build them in Release: the eight
-# figure benches take about half a minute on 4 cores). Before the diff, each
-# run's stdout loses what changes from run to run or machine to machine:
+# BUILD_DIR must hold the bench binaries (build them in Release: the whole
+# set takes under a minute and a half on 4 cores, baseline_twine ~20 s of
+# it). Before the diff, each run's stdout loses what changes from run to run
+# or machine to machine:
 #   - the "[sweep] ..." timing lines;
 #   - the JSON fields wall_s, peak_rss_bytes, build_s, feed_s, *_per_s and
 #     rss_bytes_per_article;
@@ -35,6 +36,13 @@ runs=(
   "scale_frontier_smoke       scale_frontier --smoke --shards 2"
   "availability_churn         availability_churn --nodes 64 --articles 500 --queries 4000 --jobs 4"
   "chaos_soak_smoke           chaos_soak --smoke --jobs 4"
+  "fig07_query_types          fig07_query_types --jobs 4"
+  "fig09_popularity           fig09_popularity --jobs 4"
+  "fig10_ccdf                 fig10_ccdf --jobs 4"
+  "ablation_skew              ablation_skew --jobs 4"
+  "ablation_depth             ablation_depth --jobs 4"
+  "ablation_range             ablation_range --jobs 4"
+  "baseline_twine             baseline_twine"
 )
 
 strip() {

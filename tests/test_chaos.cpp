@@ -301,7 +301,7 @@ TEST(MessageBusChaos, DuplicatedRequestServesOnceAndResendsTheResponse) {
 
 TEST(MessageBusChaos, RetransmissionBudgetExhaustionThrows) {
   // A transport that eats every frame: exchange must give up after exactly
-  // max_retransmits() retransmissions with a typed Error.
+  // MessageBus::kMaxRetransmits (12) retransmissions with a typed Error.
   struct DropTransport : net::Transport {
     const char* name() const override { return "drop"; }
     std::uint64_t send(const Message& m) override { return net::codec::encoded_size(m); }
@@ -309,12 +309,11 @@ TEST(MessageBusChaos, RetransmissionBudgetExhaustionThrows) {
     bool idle() const override { return true; }
   } dropper;
   net::MessageBus bus{dropper};
-  bus.set_max_retransmits(3);
   Message request = net::Message::request(net::Action::kLookup, Id{}, Id::hash("gone"));
   EXPECT_THROW(bus.exchange(request,
                             [](const Message& req) { return net::Message::response_to(req); }),
                Error);
-  EXPECT_EQ(bus.timeouts(), 3u);
+  EXPECT_EQ(bus.timeouts(), 12u);
 }
 
 // --- deterministic replay ----------------------------------------------------

@@ -11,6 +11,7 @@
 #include "index/builder.hpp"
 #include "index/lookup.hpp"
 #include "net/bus.hpp"
+#include "net/retry.hpp"
 #include "net/transport.hpp"
 #include "sim/simulation.hpp"
 
@@ -81,7 +82,7 @@ TEST(ReplicatedIndexService, LookupFailsOverWhenThePrimaryCrashes) {
   EXPECT_EQ(reply.node, replicas[1]);
   // The full retry budget was burnt on the dead primary, and each failed
   // attempt was charged as retry traffic plus virtual backoff time.
-  const int budget = static_cast<int>(world.service.retry_policy().attempts_per_replica);
+  const int budget = static_cast<int>(net::kRetryPolicy.attempts_per_replica);
   EXPECT_EQ(reply.rpc_failures, budget);
   EXPECT_EQ(world.ledger.retries.messages(), static_cast<std::uint64_t>(budget));
   EXPECT_GT(world.service.retry_backoff_ms(), 0.0);
@@ -109,8 +110,7 @@ TEST(ReplicatedIndexService, KeyWithAllReplicasDownIsUnreachable) {
 
   // Script the exact budget: with replication 1 there is no surviving
   // replica, so the key reports unreachable instead of answering empty.
-  world.injector.fail_next(primary,
-                           world.service.retry_policy().attempts_per_replica);
+  world.injector.fail_next(primary, net::kRetryPolicy.attempts_per_replica);
   const auto reply = world.service.lookup(source_q());
   EXPECT_TRUE(reply.unreachable);
   EXPECT_TRUE(reply.targets.empty());
@@ -238,8 +238,7 @@ TEST(ChurnLookup, SearchAllReportsPartialResultsInsteadOfThrowing) {
   // Make one node dark for exactly one retry budget: whichever branch of the
   // search lands there first goes missing from the result set, not fatal.
   const Id dark_node = stack.ring.lookup(a.msd().key()).node;
-  stack.injector.fail_next(dark_node,
-                           stack.service.retry_policy().attempts_per_replica);
+  stack.injector.fail_next(dark_node, net::kRetryPolicy.attempts_per_replica);
 
   index::LookupEngine::SearchStats stats;
   const auto results = stack.engine.search_all(a.author_query(), 8, &stats);
@@ -277,15 +276,14 @@ TEST(ChurnLookup, StaleShortcutIsInvalidatedAndTheWalkStillSucceeds) {
   // The storage node stops answering for exactly one retry budget: the jump's
   // fetch fails, the shortcut is invalidated, and the session falls back to
   // the normal walk -- by which time the script is exhausted, so it succeeds.
-  stack.injector.fail_next(storage_node,
-                           stack.service.retry_policy().attempts_per_replica);
+  stack.injector.fail_next(storage_node, net::kRetryPolicy.attempts_per_replica);
   const auto outcome = stack.engine.resolve(article->author_query(), article->msd());
   EXPECT_TRUE(outcome.found);
   EXPECT_EQ(outcome.stale_shortcuts, 1);
   EXPECT_FALSE(outcome.cache_hit);  // the hit was rolled back with the jump
   EXPECT_TRUE(outcome.degraded);
   EXPECT_EQ(outcome.rpc_failures,
-            static_cast<int>(stack.service.retry_policy().attempts_per_replica));
+            static_cast<int>(net::kRetryPolicy.attempts_per_replica));
 
   // Success re-created the shortcut, so the next session jumps again.
   const auto after = stack.engine.resolve(article->author_query(), article->msd());
@@ -350,7 +348,7 @@ TEST(ChurnLookup, InvalidatedShortcutIsGoneForTheRestOfItsSession) {
   ASSERT_TRUE(stack.engine.resolve(article->author_query(), article->msd()).cache_hit);
   bus.sync();
   transport.sent.clear();
-  stack.injector.fail_next(storage_node, stack.service.retry_policy().attempts_per_replica);
+  stack.injector.fail_next(storage_node, net::kRetryPolicy.attempts_per_replica);
   const index::LookupOutcome outcome =
       stack.engine.resolve(article->author_query(), article->msd());
   bus.sync();

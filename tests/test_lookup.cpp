@@ -10,6 +10,8 @@
 #include "biblio/corpus.hpp"
 #include "dht/ring.hpp"
 #include "index/builder.hpp"
+#include "net/bus.hpp"
+#include "net/transport.hpp"
 #include "workload/structure.hpp"
 
 namespace dhtidx::index {
@@ -442,6 +444,74 @@ TEST(Lookup, HopSelectionOverLongListMatchesCoversScan) {
   ledger.reset();
   EXPECT_EQ(service.lookup(source).targets.size(), 1003u);
   EXPECT_EQ(ledger.responses.bytes(), net::kMessageOverheadBytes + list_bytes);
+}
+
+TEST(ApplyCacheDelta, ChargesAndPostsOnlyWhenAnInstallCreatesTheEntry) {
+  // The one apply rule, driven directly. In a deferred epoch a session can
+  // touch an entry that an earlier session's delta evicted before the apply
+  // sub-phase ran; its install must then re-create the entry, which is why
+  // create_shortcuts re-installs a pair the session just touched.
+  net::TrafficLedger ledger;
+  dht::Ring ring = dht::Ring::with_nodes(4);
+  IndexService service{ring, ledger, /*cache_capacity=*/1};
+  net::EventQueueTransport transport;
+  net::MessageBus bus{transport};
+  service.set_bus(&bus);
+  query::QueryInterner& pool = service.interner();
+  const Query* a = pool.intern(Query::parse("/article/author/last/Smith"));
+  const Query* b = pool.intern(Query::parse("/article/conf/INFOCOM"));
+  const Query* m1 = pool.intern(Query::parse(
+      "/article[author[first/Ann][last/Smith]][conf/INFOCOM][title/TCP][year/1996]"));
+  const Query* m2 = pool.intern(Query::parse(
+      "/article[author[first/Bo][last/Li]][conf/INFOCOM][title/UDP][year/1997]"));
+  const Id node = ring.node_ids().front();
+  IndexNodeState& state = service.state_at(node);
+  const ShortcutCache& cache = state.cache();
+  const std::uint64_t install_a_m1 =
+      a->byte_size() + m1->byte_size() + net::kMessageOverheadBytes;
+
+  apply_cache_delta(service, node, state, CacheDeltaKind::kInstall, a, m1);
+  apply_cache_delta(service, node, state, CacheDeltaKind::kInstall, b, m2);  // evicts (a, m1)
+  ASSERT_FALSE(cache.contains(a, m1));
+  ASSERT_EQ(bus.posts(), 2u);
+
+  // (1) A touch of the evicted pair is a no-op; the install after it
+  // re-creates the pair and charges it once.
+  std::uint64_t bytes = ledger.cache.bytes();
+  std::uint64_t messages = ledger.cache.messages();
+  apply_cache_delta(service, node, state, CacheDeltaKind::kTouch, a, m1);
+  EXPECT_FALSE(cache.contains(a, m1));
+  EXPECT_EQ(ledger.cache.bytes(), bytes);
+  EXPECT_EQ(bus.posts(), 2u);
+  apply_cache_delta(service, node, state, CacheDeltaKind::kInstall, a, m1);
+  EXPECT_TRUE(cache.contains(a, m1));
+  EXPECT_EQ(ledger.cache.bytes(), bytes + install_a_m1);
+  EXPECT_EQ(ledger.cache.messages(), messages + 1);
+  EXPECT_EQ(bus.posts(), 3u);
+
+  // (2) An install of a pair already present charges nothing and posts no
+  // frame.
+  bytes = ledger.cache.bytes();
+  messages = ledger.cache.messages();
+  apply_cache_delta(service, node, state, CacheDeltaKind::kInstall, a, m1);
+  EXPECT_TRUE(cache.contains(a, m1));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(ledger.cache.bytes(), bytes);
+  EXPECT_EQ(ledger.cache.messages(), messages);
+  EXPECT_EQ(bus.posts(), 3u);
+
+  // (3) An erase of an absent pair -- an evicted one, or an unknown target
+  // under a cached source -- is a no-op.
+  const std::uint64_t evictions = cache.evictions();
+  apply_cache_delta(service, node, state, CacheDeltaKind::kInvalidate, b, m2);
+  apply_cache_delta(service, node, state, CacheDeltaKind::kInvalidate, a, m2);
+  EXPECT_TRUE(cache.contains(a, m1));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.evictions(), evictions);
+  EXPECT_EQ(ledger.cache.bytes(), bytes);
+  EXPECT_EQ(bus.posts(), 3u);
+  bus.sync();
+  EXPECT_EQ(bus.pending_posts(), 0u);
 }
 
 }  // namespace

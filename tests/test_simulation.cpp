@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace dhtidx::sim {
@@ -201,6 +205,71 @@ TEST(Simulation, RejectsAnEmptyFeedOrNetworkBeforeBuilding) {
     config.queries = 100;
     config.nodes = 0;
     EXPECT_THROW(run_simulation(config), InvariantError) << "streaming " << streaming;
+  }
+}
+
+/// A tiny world whose only config error is the one a test adds.
+SimulationConfig tiny_config() {
+  SimulationConfig config = small_config(SchemeKind::kSimple, CachePolicy::kNone);
+  config.nodes = 16;
+  config.queries = 40;
+  config.corpus.articles = 40;
+  config.corpus.authors = 15;
+  config.corpus.conferences = 4;
+  return config;
+}
+
+TEST(Simulation, RejectsFractionsOutsideTheUnitInterval) {
+  // A negative crash fraction would wrap to a huge node count and crash
+  // every node, and a NaN probability would switch its schedule off. Every
+  // churn and chaos fraction is checked, whether or not its schedule runs.
+  using Field = double*(*)(SimulationConfig&);
+  const std::vector<std::pair<const char*, Field>> fields = {
+      {"churn.crash_fraction", [](SimulationConfig& c) { return &c.churn.crash_fraction; }},
+      {"churn.drop_probability",
+       [](SimulationConfig& c) { return &c.churn.drop_probability; }},
+      {"chaos.drop_probability",
+       [](SimulationConfig& c) { return &c.chaos.drop_probability; }},
+      {"chaos.duplicate_probability",
+       [](SimulationConfig& c) { return &c.chaos.duplicate_probability; }},
+      {"chaos.reorder_probability",
+       [](SimulationConfig& c) { return &c.chaos.reorder_probability; }},
+      {"chaos.corrupt_probability",
+       [](SimulationConfig& c) { return &c.chaos.corrupt_probability; }},
+      {"chaos.delay_probability",
+       [](SimulationConfig& c) { return &c.chaos.delay_probability; }},
+      {"chaos.partition_fraction",
+       [](SimulationConfig& c) { return &c.chaos.partition_fraction; }},
+  };
+  for (const auto& [name, field] : fields) {
+    for (const double bad : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+      SimulationConfig config = tiny_config();
+      config.churn.joins = 1;  // churn runs whatever the fraction reads
+      config.transport = TransportKind::kEventQueue;  // chaos needs the event queue
+      *field(config) = bad;
+      EXPECT_THROW(run_simulation(config), InvariantError) << name << " = " << bad;
+    }
+  }
+}
+
+TEST(Simulation, RejectsACachePolicyThatContradictsItsCapacity) {
+  // An unbounded policy with a capacity would run as an LRU cache under the
+  // unbounded label, and an LRU policy with capacity 0 would run unbounded.
+  for (const bool streaming : {false, true}) {
+    SimulationConfig config = tiny_config();
+    config.streaming = streaming;
+    for (const CachePolicy policy : {CachePolicy::kSingle, CachePolicy::kMulti}) {
+      config.policy = policy;
+      config.cache_capacity = 2;
+      EXPECT_THROW(run_simulation(config), InvariantError)
+          << to_string(policy) << " streaming " << streaming;
+    }
+    for (const CachePolicy policy : {CachePolicy::kLru, CachePolicy::kLruMulti}) {
+      config.policy = policy;
+      config.cache_capacity = 0;
+      EXPECT_THROW(run_simulation(config), InvariantError)
+          << to_string(policy) << " streaming " << streaming;
+    }
   }
 }
 

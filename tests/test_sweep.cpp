@@ -1,5 +1,5 @@
 // The parallel sweep runner: determinism across thread counts, submission
-// ordering, seed derivation, and the shared-corpus concurrency contract.
+// ordering and the shared-corpus concurrency contract.
 #include "sim/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <set>
 #include <thread>
 
 namespace dhtidx::sim {
@@ -112,36 +111,6 @@ TEST(SweepRunner, ResultsComeBackInSubmissionOrder) {
     EXPECT_EQ(sweep.cells[i].config.policy, cells[i].policy);
     EXPECT_GE(sweep.cells[i].wall_seconds, 0.0);
   }
-}
-
-TEST(SweepRunner, DerivedSeedsAreStableAndDistinct) {
-  EXPECT_EQ(derive_cell_seed(7, 0), derive_cell_seed(7, 0));
-  std::set<std::uint64_t> seeds;
-  for (std::size_t i = 0; i < 64; ++i) seeds.insert(derive_cell_seed(7, i));
-  EXPECT_EQ(seeds.size(), 64u);
-  EXPECT_NE(derive_cell_seed(7, 0), derive_cell_seed(8, 0));
-}
-
-TEST(SweepRunner, BaseSeedOverridesCellSeedsDeterministically) {
-  const biblio::Corpus corpus = biblio::Corpus::generate(small_corpus_config());
-  std::vector<SimulationConfig> cells = three_cells();
-  cells.resize(2);
-
-  SweepOptions serial = options_with_jobs(1);
-  serial.base_seed = 99;
-  SweepOptions parallel = options_with_jobs(4);
-  parallel.base_seed = 99;
-  const SweepSummary a = SweepRunner{serial}.run(cells, &corpus);
-  const SweepSummary b = SweepRunner{parallel}.run(cells, &corpus);
-
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(a.cells[i].config.seed, derive_cell_seed(99, i));
-    EXPECT_EQ(b.cells[i].config.seed, derive_cell_seed(99, i));
-    expect_identical(a.cells[i].results, b.cells[i].results);
-  }
-  // And the derived feed differs from the configured seed's feed.
-  const SweepSummary plain = SweepRunner{options_with_jobs(1)}.run(cells, &corpus);
-  EXPECT_NE(plain.cells[0].config.seed, a.cells[0].config.seed);
 }
 
 // Shared-state audit smoke test: several run_simulation calls over one

@@ -255,7 +255,7 @@ struct CollectingSink : MessageSink {
 };
 
 TEST(EventQueueTransport, DeliversInSendOrderAndAdvancesTheClock) {
-  EventQueueTransport transport{/*hop_delay_ms=*/2.5};
+  EventQueueTransport transport;
   CollectingSink sink;
   transport.set_sink(&sink);
 
@@ -274,7 +274,7 @@ TEST(EventQueueTransport, DeliversInSendOrderAndAdvancesTheClock) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(sink.messages[i], sent[i]) << "frame " << i << " out of order";
   }
-  EXPECT_DOUBLE_EQ(transport.clock_ms(), 2.5);  // all sent at t=0
+  EXPECT_DOUBLE_EQ(transport.clock_ms(), 1.0);  // all sent at t=0, one 1 ms hop
   EXPECT_EQ(transport.delivered(), 5u);
 }
 
