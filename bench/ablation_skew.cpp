@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
         1.0 / std::pow(static_cast<double>(config.corpus.articles), p.alpha);
     cells.push_back(config);
   }
-  const auto results = run_cells("ablation_skew", cells, &corpus, options);
+  const biblio::Corpus* run_corpus = apply_shards(cells, &corpus, options);
+  const auto results = run_cells("ablation_skew", cells, run_corpus, options);
 
   std::printf("%-28s %10s %14s %14s %12s\n", "popularity", "hit ratio", "interactions",
               "normal B/q", "errors");

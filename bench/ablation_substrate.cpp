@@ -15,6 +15,12 @@ using namespace dhtidx::bench;
 
 int main(int argc, char** argv) {
   const BenchOptions options = parse_options(argc, argv);
+  if (options.shards != 0) {
+    // Only the Ring streams (sim/sharded.hpp).
+    std::fprintf(stderr, "%s: --shards: the Chord, CAN and Pastry cells cannot stream\n",
+                 argv[0]);
+    return 2;
+  }
   banner("Ablation: Ring vs. Chord vs. CAN vs. Pastry (simple scheme, single-cache)");
   sim::SimulationConfig base = paper_config();
   // Chord at 500 nodes stabilizes slowly; the claim is scale-free, so use a
@@ -27,11 +33,9 @@ int main(int argc, char** argv) {
   base.policy = index::CachePolicy::kSingle;
   const biblio::Corpus corpus = biblio::Corpus::generate(base.corpus);
 
-  const sim::Substrate substrates[] = {sim::Substrate::kRing, sim::Substrate::kChord,
-                                       sim::Substrate::kCan, sim::Substrate::kPastry};
   const std::size_t sizes[] = {50, 100, 250, 500, 1000};
   std::vector<sim::SimulationConfig> cells;
-  for (const sim::Substrate substrate : substrates) {
+  for (const auto& [substrate, name] : sim::kSubstrates) {
     sim::SimulationConfig config = base;
     config.substrate = substrate;
     cells.push_back(config);
@@ -46,12 +50,8 @@ int main(int argc, char** argv) {
   std::printf("%-10s %13s %10s %12s %10s %14s %14s\n", "substrate", "interactions",
               "hit ratio", "normal B/q", "errors", "routing hops", "routing bytes");
   std::size_t cell = 0;
-  for (const sim::Substrate substrate : substrates) {
+  for (const auto& [substrate, name] : sim::kSubstrates) {
     const sim::SimulationResults& r = results[cell++].results;
-    const char* name = substrate == sim::Substrate::kRing    ? "ring"
-                       : substrate == sim::Substrate::kChord ? "chord"
-                       : substrate == sim::Substrate::kCan   ? "can"
-                                                             : "pastry";
     std::printf("%-10s %13.2f %9.1f%% %12.0f %10zu %14.2f %14llu\n", name,
                 r.avg_interactions, 100.0 * r.hit_ratio, r.normal_traffic_per_query,
                 r.non_indexed_queries, r.avg_routing_hops_per_lookup,

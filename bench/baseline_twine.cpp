@@ -20,7 +20,10 @@
 using namespace dhtidx;
 using namespace dhtidx::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  // Common CLI only: each side is one sequential run, so there are no
+  // independent cells for --jobs to spread out.
+  parse_options(argc, argv);
   banner("Baseline: INS/Twine strand replication vs. key-to-key indexing");
   sim::SimulationConfig base = paper_config();
   const biblio::Corpus corpus = biblio::Corpus::generate(base.corpus);

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
       cells.push_back(config);
     }
   }
-  const auto results = run_cells("fig11_interactions", cells, &corpus, options);
+  const biblio::Corpus* run_corpus = apply_shards(cells, &corpus, options);
+  const auto results = run_cells("fig11_interactions", cells, run_corpus, options);
 
   row("policy", {"simple", "flat", "complex"});
   std::size_t cell = 0;

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
       cells.push_back(config);
     }
   }
-  const auto results = run_cells("table1_nonindexed", cells, &corpus, options);
+  const biblio::Corpus* run_corpus = apply_shards(cells, &corpus, options);
+  const auto results = run_cells("table1_nonindexed", cells, run_corpus, options);
 
   std::printf("%-14s %8s %8s %8s   %s\n", "policy", "simple", "flat", "complex",
               "paper (S/F/C)");

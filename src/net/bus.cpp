@@ -10,38 +10,39 @@ namespace dhtidx::net {
 Message MessageBus::exchange(Message request, const Server& serve) {
   const std::uint64_t id = next_request_id_++;
   request.request_id = id;
-  servers_[id] = &serve;
+  InFlight& rpc = in_flight_.try_emplace(id, &serve).first->second;
   ++exchanges_;
-  account(request, transport_.send(request));
+  try {
+    account(request, transport_.send(request));
 
-  // Pump until the response frame lands. If the transport drains idle
-  // first, the request or its response leg was lost: retransmit the
-  // identical frame (same id — receivers dedup) under the end-to-end timeout
-  // budget.
-  std::size_t retransmits = 0;
-  while (responses_.find(id) == responses_.end()) {
-    if (!transport_.idle()) {
-      transport_.pump();
-      continue;
+    // Pump until the response frame lands. If the transport drains idle
+    // first, the request or its response leg was lost: retransmit the
+    // identical frame (same id — receivers dedup) under the end-to-end
+    // timeout budget.
+    std::size_t retransmits = 0;
+    while (!rpc.response) {
+      if (!transport_.idle()) {
+        transport_.pump();
+        continue;
+      }
+      if (retransmits >= kMaxRetransmits) {
+        throw Error{"message bus: transport drained without a response to " +
+                    std::string(to_string(request.action)) + " #" +
+                    std::to_string(id) + " after " + std::to_string(retransmits) +
+                    " retransmissions"};
+      }
+      ++retransmits;
+      ++timeouts_;
+      backoff(retransmits);
+      // dhtidx-lint: allow(ledger-discipline) "bus-private wire ledger, see record_lost"
+      measured_.timeouts.record(transport_.send(request));
     }
-    if (retransmits >= kMaxRetransmits) {
-      servers_.erase(id);
-      served_responses_.erase(id);
-      throw Error{"message bus: transport drained without a response to " +
-                  std::string(to_string(request.action)) + " #" +
-                  std::to_string(id) + " after " + std::to_string(retransmits) +
-                  " retransmissions"};
-    }
-    ++retransmits;
-    ++timeouts_;
-    backoff(retransmits);
-    // dhtidx-lint: allow(ledger-discipline) "bus-private wire ledger, see record_lost"
-    measured_.timeouts.record(transport_.send(request));
+  } catch (...) {
+    in_flight_.erase(id);  // a failed exchange leaves nothing behind either
+    throw;
   }
-  Message response = std::move(responses_.at(id));
-  responses_.erase(id);
-  servers_.erase(id);
-  served_responses_.erase(id);
+  Message response = std::move(*rpc.response);
+  in_flight_.erase(id);
   return response;
 }
 
@@ -97,25 +98,23 @@ void MessageBus::on_message(const Message& message, std::uint64_t wire_bytes) {
   // duplication or retransmission crossings apply at most once.
   const std::uint64_t id = message.request_id;
   if (message.context == Context::kRequest) {
-    if (const auto server = servers_.find(id); server != servers_.end()) {
-      if (answered_.insert(id).second) {
-        Message response = (*server->second)(message);
+    if (const auto it = in_flight_.find(id); it != in_flight_.end()) {
+      InFlight& rpc = it->second;
+      if (!rpc.served) {
+        Message response = (*rpc.server)(message);
         account(response, transport_.send(response));
-        // Record after the send (send takes a const ref, so the move is
-        // safe): the recorded copy only matters for later duplicate
-        // requests, which cannot arrive from inside this send.
-        served_responses_[id] = std::move(response);
+        // Keep the copy after the send (send takes a const ref, so the move
+        // is safe): it only matters for later duplicate requests, which
+        // cannot arrive from inside this send.
+        rpc.served = std::move(response);
       } else {
         // Duplicate of a request we already served: the peer retransmitted,
-        // so our response leg must have been lost — resend the recorded
+        // so our response leg must have been lost — resend the served
         // response rather than serving (and mutating state) twice.
         discard_duplicate(wire_bytes);
-        if (const auto recorded = served_responses_.find(id);
-            recorded != served_responses_.end()) {
-          ++timeouts_;
-          // dhtidx-lint: allow(ledger-discipline) "bus-private wire ledger, see record_lost"
-          measured_.timeouts.record(transport_.send(recorded->second));
-        }
+        ++timeouts_;
+        // dhtidx-lint: allow(ledger-discipline) "bus-private wire ledger, see record_lost"
+        measured_.timeouts.record(transport_.send(*rpc.served));
       }
       return;
     }
@@ -124,22 +123,24 @@ void MessageBus::on_message(const Message& message, std::uint64_t wire_bytes) {
       // apply() is already classified as a duplicate.
       Applier apply = std::move(post->second.apply);
       pending_posts_.erase(post);
-      applied_.insert(id);
+      unacked_.insert(id);
       apply(message);
       Message ack = Message::ack_to(message);
       account(ack, transport_.send(ack));
       return;
     }
-    if (applied_.contains(id) || answered_.contains(id)) {
-      discard_duplicate(wire_bytes);
-      return;
+    if (id == 0 || id >= next_request_id_) {
+      throw Error{"message bus: request #" + std::to_string(id) +
+                  " has no server or applier"};
     }
-    throw Error{"message bus: request #" + std::to_string(id) +
-                " has no server or applier"};
+    // This bus assigned the id, and it is no longer in flight: the request
+    // was already served or applied.
+    discard_duplicate(wire_bytes);
+    return;
   }
   if (message.context == Context::kResponse) {
-    if (servers_.contains(id) && !responses_.contains(id)) {
-      responses_.emplace(id, message);
+    if (const auto it = in_flight_.find(id); it != in_flight_.end() && !it->second.response) {
+      it->second.response = message;
     } else {
       // A duplicate copy, a retransmitted response crossing the original, or
       // a response outliving its exchange.
@@ -149,7 +150,7 @@ void MessageBus::on_message(const Message& message, std::uint64_t wire_bytes) {
   }
   // Ack leg: confirms delivery of a one-way post; accounting happened at
   // send time. Only the dedup bookkeeping remains.
-  if (!acked_.insert(id).second) {
+  if (unacked_.erase(id) == 0) {
     discard_duplicate(wire_bytes);
   }
 }

@@ -12,16 +12,17 @@
 //     a header-only ack back, so one-way traffic still exercises the full
 //     taxonomy. sync() pumps until every posted message has been applied.
 //
-// Idempotent delivery (wire version 2, PROTOCOL.md §3): request ids are
-// assigned monotonically from one bus-wide counter, and the bus remembers
-// which ids it has already served or applied. A duplicated, replayed or
-// retransmission-crossed frame is detected by its id and discarded — the
-// non-idempotent appliers (publish/remove/replicate/shortcut-install) run
-// exactly once per id. When the transport drains without the expected
-// response/ack (an adversarial drop), exchange() and sync() retransmit the
-// original frame under a bounded end-to-end timeout budget (kMaxRetransmits)
-// whose backoff follows kRetryPolicy and is charged to the transport's
-// virtual clock.
+// Idempotent delivery (wire version 2, PROTOCOL.md §5): request ids come
+// from one bus-wide counter, and the bus keeps state only while an RPC is in
+// flight. Every id below the counter was assigned here, so a request whose
+// id is below it but no longer in flight was already served or applied: a
+// duplicated, replayed or retransmission-crossed frame is discarded by its
+// id, and the non-idempotent appliers (publish/remove/replicate/shortcut
+// install) run exactly once per id. When the transport drains without the
+// expected response/ack (an adversarial drop), exchange() and sync()
+// retransmit the original frame under a bounded end-to-end timeout budget
+// (kMaxRetransmits) whose backoff follows kRetryPolicy and is charged to the
+// transport's virtual clock.
 //
 // The measured ledger mirrors the analytic one kept by the services, but its
 // byte counts come from codec frame sizes instead of the paper's per-message
@@ -35,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -109,6 +111,17 @@ class MessageBus : public MessageSink {
   std::size_t pending_posts() const { return pending_posts_.size(); }
 
  private:
+  /// One exchange, from its first send until exchange() returns or throws.
+  struct InFlight {
+    explicit InFlight(const Server* serve) : server(serve) {}
+    const Server* server;
+    /// The response this bus served, resent when a duplicate request
+    /// arrives, so a lost response leg heals without running `serve` twice.
+    std::optional<Message> served;
+    /// The response leg, once it arrived.
+    std::optional<Message> response;
+  };
+
   struct PendingPost {
     Applier apply;
     Message message;  ///< retained for timeout-driven retransmission
@@ -133,23 +146,14 @@ class MessageBus : public MessageSink {
   std::uint64_t duplicates_ = 0;
   std::uint64_t rejected_ = 0;
 
-  // In-flight state keyed by correlation id. Server/Applier pointers stay
-  // valid because exchange()/sync() pump within the caller's scope.
-  std::unordered_map<std::uint64_t, const Server*> servers_;
+  // The only state keyed by request id, and none of it outlives its RPC.
+  // Server/Applier pointers stay valid because exchange()/sync() pump within
+  // the caller's scope.
+  std::unordered_map<std::uint64_t, InFlight> in_flight_;
   std::unordered_map<std::uint64_t, PendingPost> pending_posts_;
-  std::unordered_map<std::uint64_t, Message> responses_;
-
-  // Retransmitted responses for in-flight exchanges: when a duplicate of a
-  // request we already served arrives, the recorded response is resent so a
-  // lost response leg heals without running `serve` twice.
-  std::unordered_map<std::uint64_t, Message> served_responses_;
-
-  // Dedup memory (wire v2): ids whose request leg was served, whose one-way
-  // apply ran, and whose ack was consumed. Grows with the number of RPCs in
-  // one simulation run; entries are u64s, which is cheap at paper scale.
-  std::unordered_set<std::uint64_t> answered_;
-  std::unordered_set<std::uint64_t> applied_;
-  std::unordered_set<std::uint64_t> acked_;
+  // Applied posts whose ack has not arrived yet. The first ack erases its
+  // id, so a later copy finds nothing; only acks lost on the wire stay.
+  std::unordered_set<std::uint64_t> unacked_;
 };
 
 }  // namespace dhtidx::net

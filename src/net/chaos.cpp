@@ -35,9 +35,9 @@ FramePlan ChaosInjector::plan_frame(const Id& from, const Id& to) {
     scripted_frames_.pop_front();
     if (fault != FrameFault::kNone) {
       plan.fault = count(fault);
-      if (fault == FrameFault::kDelay) plan.extra_delay_ms = profile_.delay_ms;
+      if (fault == FrameFault::kDelay) plan.extra_delay_ms = kDelayMs;
       if (fault == FrameFault::kReorder) {
-        plan.extra_delay_ms = frame_rng_.next_double() * profile_.reorder_window_ms;
+        plan.extra_delay_ms = frame_rng_.next_double() * kReorderWindowMs;
       }
     }
     return plan;
@@ -62,13 +62,13 @@ FramePlan ChaosInjector::plan_frame(const Id& from, const Id& to) {
   if (profile_.delay_probability > 0.0 &&
       frame_rng_.next_bool(profile_.delay_probability)) {
     plan.fault = count(FrameFault::kDelay);
-    plan.extra_delay_ms = profile_.delay_ms;
+    plan.extra_delay_ms = kDelayMs;
     return plan;
   }
   if (profile_.reorder_probability > 0.0 &&
       frame_rng_.next_bool(profile_.reorder_probability)) {
     plan.fault = count(FrameFault::kReorder);
-    plan.extra_delay_ms = frame_rng_.next_double() * profile_.reorder_window_ms;
+    plan.extra_delay_ms = frame_rng_.next_double() * kReorderWindowMs;
     return plan;
   }
   return plan;

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -66,15 +65,14 @@ struct FramePlan {
 /// (drop, corrupt, duplicate, delay, reorder) and the first hit wins, so a
 /// frame suffers at most one fault and replays are bit-identical for a fixed
 /// seed. All-zero probabilities (the default) mean plan_frame() draws
-/// nothing at all.
+/// nothing at all. How late a delayed or reordered frame arrives is
+/// ChaosInjector's constant (kDelayMs, kReorderWindowMs).
 struct ChaosProfile {
   double drop_probability = 0.0;
   double corrupt_probability = 0.0;
   double duplicate_probability = 0.0;
   double delay_probability = 0.0;
-  double delay_ms = 25.0;  ///< extra virtual latency per delayed frame
   double reorder_probability = 0.0;
-  double reorder_window_ms = 8.0;  ///< jitter drawn uniformly from [0, window)
 
   bool enabled() const {
     return drop_probability > 0.0 || corrupt_probability > 0.0 ||
@@ -88,6 +86,11 @@ struct ChaosProfile {
 /// fault schedule.
 class ChaosInjector : public FailureInjector {
  public:
+  /// Extra virtual latency of a delayed frame (a slow-link episode).
+  static constexpr double kDelayMs = 25.0;
+  /// A reordered frame's jitter is drawn uniformly from [0, kReorderWindowMs).
+  static constexpr double kReorderWindowMs = 8.0;
+
   /// The delivery-plane coin stream is seeded exactly like the base
   /// FailureInjector (golden churn runs replay unchanged); the frame plane
   /// draws from an independently derived stream so enabling frame faults
@@ -134,34 +137,19 @@ class ChaosInjector : public FailureInjector {
 
   /// Installs an asymmetric partition isolating `nodes`: traffic *into* the
   /// set (from any endpoint outside it, including the client) is cut; frames
-  /// leaving the set still flow unless `symmetric`. Deliveries into the set
-  /// fail with RpcError through check_delivery(), driving the same replica
-  /// failover as a crash — but the nodes keep their disks and heal().
-  void install_partition(const std::vector<Id>& nodes, bool symmetric = false) {
+  /// leaving the set still flow. Deliveries into the set fail with RpcError
+  /// through check_delivery(), driving the same replica failover as a crash
+  /// — but the nodes keep their disks and heal().
+  void install_partition(const std::vector<Id>& nodes) {
     for (const Id& node : nodes) isolated_.insert(node);
-    symmetric_partition_ = symmetric;
   }
 
-  /// Blocks the directed link from → to (frames and deliveries), independent
-  /// of any installed partition.
-  void block_link(const Id& from, const Id& to) { blocked_[from].insert(to); }
+  /// Heals the partition.
+  void heal() { isolated_.clear(); }
 
-  /// Heals every partition and blocked link.
-  void heal() {
-    isolated_.clear();
-    blocked_.clear();
-    symmetric_partition_ = false;
-  }
-
+  /// True when the partition cuts the link from → to.
   bool link_blocked(const Id& from, const Id& to) const {
-    if (!isolated_.empty()) {
-      const bool from_in = isolated_.contains(from);
-      const bool to_in = isolated_.contains(to);
-      if (to_in && !from_in) return true;
-      if (symmetric_partition_ && from_in && !to_in) return true;
-    }
-    const auto it = blocked_.find(from);
-    return it != blocked_.end() && it->second.contains(to);
+    return !isolated_.empty() && isolated_.contains(to) && !isolated_.contains(from);
   }
 
   std::size_t partitioned_count() const { return isolated_.size(); }
@@ -177,15 +165,15 @@ class ChaosInjector : public FailureInjector {
     FailureInjector::check_delivery(target);
   }
 
-  /// True when every chaos mechanism is off: nothing crashed, partitioned or
-  /// blocked, no scripted failures or frame faults armed, drop probability
-  /// zero and the frame profile disabled. The auditor's post-healing
+  /// True when every chaos mechanism is off: nothing crashed or partitioned,
+  /// no scripted failures or frame faults armed, drop probability zero and
+  /// the frame profile disabled. The auditor's post-healing
   /// convergence invariant requires this before it holds the index graph to
   /// converged-world standards.
   bool quiescent() const {
     return crashed_count() == 0 && scripted_count() == 0 &&
-           drop_probability() == 0.0 && isolated_.empty() && blocked_.empty() &&
-           scripted_frames_.empty() && !profile_.enabled();
+           drop_probability() == 0.0 && isolated_.empty() && scripted_frames_.empty() &&
+           !profile_.enabled();
   }
 
  private:
@@ -199,8 +187,6 @@ class ChaosInjector : public FailureInjector {
   std::deque<FrameFault> scripted_frames_;
   std::array<std::uint64_t, kFrameFaultCount> fault_counts_{};
   std::unordered_set<Id, IdHasher> isolated_;
-  std::unordered_map<Id, std::unordered_set<Id, IdHasher>, IdHasher> blocked_;
-  bool symmetric_partition_ = false;
 };
 
 }  // namespace dhtidx::net

@@ -56,7 +56,6 @@ void EventQueueTransport::pump() {
     try {
       message = codec::decode(next.frame);
     } catch (const codec::CodecError&) {
-      ++rejected_;
       if (sink_ != nullptr) {
         sink_->on_rejected(next.frame.size());
       }

@@ -84,7 +84,6 @@ class EventQueueTransport : public Transport {
 
   double clock_ms() const { return clock_ms_; }
   std::uint64_t delivered() const { return delivered_; }
-  std::uint64_t rejected() const { return rejected_; }
 
   /// Advances virtual time without delivering anything: queued frames keep
   /// their schedule, so waiting can make in-flight frames "arrive" on the
@@ -122,7 +121,6 @@ class EventQueueTransport : public Transport {
   double clock_ms_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t delivered_ = 0;
-  std::uint64_t rejected_ = 0;
   std::priority_queue<PendingFrame> queue_;
   std::uint64_t fingerprint_ = 0;
   ChaosInjector* chaos_ = nullptr;

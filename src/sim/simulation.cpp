@@ -10,13 +10,9 @@
 #ifdef DHTIDX_AUDIT
 #include "audit/audit.hpp"
 #endif
-#include "dht/can.hpp"
-#include "dht/chord.hpp"
 #include "net/bus.hpp"
 #include "net/chaos.hpp"
 #include "net/transport.hpp"
-#include "dht/pastry.hpp"
-#include "dht/ring.hpp"
 #include "sim/sharded.hpp"
 #include "workload/generator.hpp"
 #include "workload/streaming.hpp"
@@ -28,65 +24,6 @@ namespace {
 double wall_seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
-
-/// The key-to-node substrate of a run. Built from the config alone, so two
-/// overlays built from one config resolve every key to the same nodes.
-struct Overlay {
-  explicit Overlay(const SimulationConfig& config) {
-    switch (config.substrate) {
-      case Substrate::kRing:
-        ring.emplace(dht::Ring::with_nodes(config.nodes));
-        break;
-      case Substrate::kChord:
-        chord.emplace(config.seed ^ 0xC402D);
-        for (std::size_t i = 0; i < config.nodes; ++i) {
-          chord->add_node("node-" + std::to_string(i));
-          chord->stabilize_round(4);
-          chord->stabilize_round(4);
-        }
-        if (chord->stabilize_until_converged() < 0) {
-          throw InvariantError("chord substrate failed to converge");
-        }
-        break;
-      case Substrate::kCan:
-        can.emplace(config.seed ^ 0xCA9);
-        for (std::size_t i = 0; i < config.nodes; ++i) {
-          can->add_node("node-" + std::to_string(i));
-        }
-        break;
-      case Substrate::kPastry:
-        pastry.emplace(config.seed ^ 0x9A57);
-        for (std::size_t i = 0; i < config.nodes; ++i) {
-          pastry->add_node("node-" + std::to_string(i));
-        }
-        for (int r = 0; r < 3; ++r) pastry->repair_round();
-        if (!pastry->leaf_sets_correct()) {
-          throw InvariantError("pastry substrate failed to converge");
-        }
-        break;
-    }
-  }
-
-  dht::Dht& dht() {
-    if (chord) return *chord;
-    if (can) return *can;
-    if (pastry) return *pastry;
-    return *ring;
-  }
-
-  /// Routing counters of a protocol substrate; nullptr on the instant Ring.
-  net::TrafficStats* routing_stats() {
-    if (chord) return &chord->routing_stats();
-    if (can) return &can->routing_stats();
-    if (pastry) return &pastry->routing_stats();
-    return nullptr;
-  }
-
-  std::optional<dht::Ring> ring;
-  std::optional<dht::ChordNetwork> chord;
-  std::optional<dht::CanNetwork> can;
-  std::optional<dht::PastryNetwork> pastry;
-};
 
 /// Feed positions of the churn and chaos events, as fractions of the feed.
 constexpr double kCrashPoint = 0.5;
@@ -188,6 +125,41 @@ void check_config(const SimulationConfig& config, const biblio::Corpus* shared_c
 
 }  // namespace
 
+Overlay::Overlay(Substrate substrate, std::size_t nodes, std::uint64_t seed) {
+  switch (substrate) {
+    case Substrate::kRing:
+      ring.emplace(dht::Ring::with_nodes(nodes));
+      break;
+    case Substrate::kChord:
+      chord.emplace(seed ^ 0xC402D);
+      for (std::size_t i = 0; i < nodes; ++i) {
+        chord->add_node("node-" + std::to_string(i));
+        chord->stabilize_round(4);
+        chord->stabilize_round(4);
+      }
+      if (chord->stabilize_until_converged() < 0) {
+        throw InvariantError("chord substrate failed to converge");
+      }
+      break;
+    case Substrate::kCan:
+      can.emplace(seed ^ 0xCA9);
+      for (std::size_t i = 0; i < nodes; ++i) {
+        can->add_node("node-" + std::to_string(i));
+      }
+      break;
+    case Substrate::kPastry:
+      pastry.emplace(seed ^ 0x9A57);
+      for (std::size_t i = 0; i < nodes; ++i) {
+        pastry->add_node("node-" + std::to_string(i));
+      }
+      for (int r = 0; r < 3; ++r) pastry->repair_round();
+      if (!pastry->leaf_sets_correct()) {
+        throw InvariantError("pastry substrate failed to converge");
+      }
+      break;
+  }
+}
+
 SimulationResults run_simulation(const SimulationConfig& config,
                                  const biblio::Corpus* shared_corpus) {
   check_config(config, shared_corpus);
@@ -205,7 +177,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
   }
   const std::size_t articles = stream ? stream->size() : corpus->size();
 
-  Overlay overlay{config};
+  Overlay overlay{config.substrate, config.nodes, config.seed};
   dht::Dht& ring = overlay.dht();
   net::TrafficLedger ledger;
   storage::DhtStore store{ring, ledger, config.replication};
@@ -256,7 +228,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
   // The audit resolves keys on a twin of the substrate: a protocol substrate
   // draws a random origin for every lookup, so audit lookups on the real one
   // would move the feed's routing hops.
-  Overlay audit_overlay{config};
+  Overlay audit_overlay{config.substrate, config.nodes, config.seed};
   audit::Options audit_options;
   audit_options.scheme = &builder.scheme();
   audit::audit_or_throw("post-build", audit_overlay.dht(), service, store, audit_options);
@@ -364,7 +336,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
       // deterministic node sample is cut off behind an asymmetric partition.
       // Unlike a crash, partitioned nodes keep their disks — the interesting
       // failure mode is the stale state they host until the heal. The delay
-      // and reorder window are the profile's own.
+      // and reorder window are the injector's constants.
       net::ChaosProfile profile;
       profile.drop_probability = config.chaos.drop_probability;
       profile.corrupt_probability = config.chaos.corrupt_probability;

@@ -16,8 +16,13 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 
 #include "biblio/corpus.hpp"
+#include "dht/can.hpp"
+#include "dht/chord.hpp"
+#include "dht/pastry.hpp"
+#include "dht/ring.hpp"
 #include "index/builder.hpp"
 #include "index/lookup.hpp"
 #include "sim/metrics.hpp"
@@ -28,6 +33,48 @@ namespace dhtidx::sim {
 /// is that this does not affect any indexing metric; kChord exists to verify
 /// that and to measure substrate routing cost.
 enum class Substrate { kRing, kChord, kCan, kPastry };
+
+/// Every substrate with its name, in the order benches and tools list them:
+/// the one table of substrate names, read by the sweep JSON, the substrate
+/// ablation and dhtidx_audit's --substrate.
+inline constexpr std::pair<Substrate, const char*> kSubstrates[] = {
+    {Substrate::kRing, "ring"}, {Substrate::kChord, "chord"},
+    {Substrate::kCan, "can"}, {Substrate::kPastry, "pastry"}};
+
+inline const char* to_string(Substrate substrate) {
+  for (const auto& [each, name] : kSubstrates) {
+    if (each == substrate) return name;
+  }
+  return "?";
+}
+
+/// The key-to-node substrate of a run, converged. Built from (substrate,
+/// nodes, seed) alone, so two overlays built from one config resolve every
+/// key to the same nodes. Throws InvariantError when Chord or Pastry fail to
+/// converge.
+struct Overlay {
+  Overlay(Substrate substrate, std::size_t nodes, std::uint64_t seed);
+
+  dht::Dht& dht() {
+    if (chord) return *chord;
+    if (can) return *can;
+    if (pastry) return *pastry;
+    return *ring;
+  }
+
+  /// Routing counters of a protocol substrate; nullptr on the instant Ring.
+  net::TrafficStats* routing_stats() {
+    if (chord) return &chord->routing_stats();
+    if (can) return &can->routing_stats();
+    if (pastry) return &pastry->routing_stats();
+    return nullptr;
+  }
+
+  std::optional<dht::Ring> ring;
+  std::optional<dht::ChordNetwork> chord;
+  std::optional<dht::CanNetwork> can;
+  std::optional<dht::PastryNetwork> pastry;
+};
 
 /// Mid-run failure schedule (all off by default -- the paper's failure-free
 /// runs). At the crash point, halfway through the feed, a deterministic
@@ -58,9 +105,9 @@ struct ChurnConfig {
 /// the partition heals; the end-of-feed repair pass then re-converges the
 /// index, and convergence_ms measures how much virtual time that took. A
 /// delayed frame arrives 25 ms late and a reordered one up to 8 ms late
-/// (net::ChaosProfile's delay and window). Chaos runs require the Ring
-/// substrate and the event-queue transport (frame faults act on queued
-/// frames). Probabilities and fractions must lie in [0, 1].
+/// (net::ChaosInjector::kDelayMs and kReorderWindowMs). Chaos runs require
+/// the Ring substrate and the event-queue transport (frame faults act on
+/// queued frames). Probabilities and fractions must lie in [0, 1].
 struct ChaosConfig {
   double drop_probability = 0.0;       ///< per-frame loss
   double duplicate_probability = 0.0;  ///< per-frame duplication

@@ -25,20 +25,6 @@ std::size_t resolve_jobs(std::size_t requested) {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-const char* substrate_name(Substrate substrate) {
-  switch (substrate) {
-    case Substrate::kRing:
-      return "ring";
-    case Substrate::kChord:
-      return "chord";
-    case Substrate::kCan:
-      return "can";
-    case Substrate::kPastry:
-      return "pastry";
-  }
-  return "?";
-}
-
 using json::append_field;
 using json::num;
 
@@ -178,7 +164,7 @@ std::string json_summary(std::string_view bench_name, const SweepSummary& sweep)
     append_field(out, "scheme", index::to_string(cell.config.scheme));
     append_field(out, "policy", index::to_string(cell.config.policy));
     append_field(out, "capacity", std::to_string(cell.config.cache_capacity), false);
-    append_field(out, "substrate", substrate_name(cell.config.substrate));
+    append_field(out, "substrate", to_string(cell.config.substrate));
     append_field(out, "nodes", std::to_string(cell.config.nodes), false);
     append_field(out, "queries", std::to_string(cell.config.queries), false);
     append_field(out, "seed", std::to_string(cell.config.seed), false);

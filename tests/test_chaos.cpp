@@ -142,23 +142,6 @@ TEST(ChaosInjector, AsymmetricPartitionCutsInboundTrafficOnly) {
   EXPECT_TRUE(chaos.quiescent());
 }
 
-TEST(ChaosInjector, SymmetricPartitionAndBlockedLinks) {
-  ChaosInjector chaos{5};
-  const Id inside = Id::hash("inside");
-  const Id outside = Id::hash("outside");
-  chaos.install_partition({inside}, /*symmetric=*/true);
-  EXPECT_TRUE(chaos.link_blocked(outside, inside));
-  EXPECT_TRUE(chaos.link_blocked(inside, outside));
-  chaos.heal();
-
-  chaos.block_link(outside, inside);
-  EXPECT_TRUE(chaos.link_blocked(outside, inside));
-  EXPECT_FALSE(chaos.link_blocked(inside, outside));
-  EXPECT_FALSE(chaos.quiescent());
-  chaos.heal();
-  EXPECT_TRUE(chaos.quiescent());
-}
-
 TEST(ChaosInjector, PartitionedFramesAreDroppedWithoutRandomDraws) {
   ChaosInjector chaos{9};
   const Id inside = Id::hash("inside");
@@ -297,6 +280,26 @@ TEST(MessageBusChaos, DuplicatedRequestServesOnceAndResendsTheResponse) {
   EXPECT_EQ(served, 1);  // the duplicate was deduplicated, not re-served
   bus.sync();            // drain the resent response copy
   EXPECT_GE(bus.duplicates_detected(), 1u);
+}
+
+TEST(MessageBusChaos, DuplicatedAckCountsOneDuplicateAndThePostAppliesOnce) {
+  net::EventQueueTransport transport;
+  ChaosInjector chaos{3};
+  transport.set_chaos(&chaos);
+  net::MessageBus bus{transport};
+
+  // The post's frame passes untouched; the next frame, its ack, is doubled.
+  chaos.script_frame_fault(FrameFault::kNone);
+  chaos.script_frame_fault(FrameFault::kDuplicate);
+  int applied = 0;
+  bus.post(sample_post(0), [&applied](const Message&) { ++applied; });
+  bus.sync();
+  EXPECT_EQ(applied, 1);
+  EXPECT_EQ(chaos.duplicated_frames(), 1u);
+  EXPECT_EQ(bus.duplicates_detected(), 1u);
+  EXPECT_EQ(bus.measured().duplicates.messages(), 1u);
+  EXPECT_EQ(bus.measured().routing.messages(), 1u);  // the ack, charged once at send
+  EXPECT_EQ(bus.timeouts(), 0u);
 }
 
 TEST(MessageBusChaos, RetransmissionBudgetExhaustionThrows) {

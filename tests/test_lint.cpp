@@ -88,10 +88,10 @@ INSTANTIATE_TEST_SUITE_P(
         BadFixture{"bench/bad_number_parse.cpp", "lenient-number-parse"},
         BadFixture{"src/index/suppressed_missing_justification.cpp",
                    "bad-suppression"}),
-    [](const ::testing::TestParamInfo<BadFixture>& info) {
+    [](const ::testing::TestParamInfo<BadFixture>& fixture) {
       // Derive from the file path: several fixtures can exercise one check
       // (hot-path-map has per-directory fixtures since PR 10).
-      std::string name = info.param.file;
+      std::string name = fixture.param.file;
       name = name.substr(name.rfind('/') + 1);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';

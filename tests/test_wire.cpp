@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rss.hpp"
 #include "net/bus.hpp"
 #include "net/codec.hpp"
 #include "net/message.hpp"
@@ -438,6 +439,70 @@ TEST(MessageBus, DrainedTransportWithoutResponseThrows) {
     return Message::response_to(req);
   }),
                Error);
+}
+
+// --- Message bus dedup (PROTOCOL.md §5) ---------------------------------------
+
+TEST(MessageBus, RequestWithAnIdTheBusNeverAssignedThrows) {
+  EventQueueTransport transport;
+  MessageBus bus{transport};
+  const Message response =
+      bus.exchange(Message::request(Action::kLookup, Id{}, Id::hash("n")),
+                   [](const Message& req) { return Message::response_to(req); });
+
+  Message stray = Message::request(Action::kLookup, Id{}, Id::hash("n"));
+  stray.request_id = 0;
+  EXPECT_THROW(bus.on_message(stray, codec::encoded_size(stray)), Error);
+  stray.request_id = response.request_id + 1;  // the counter's next id
+  EXPECT_THROW(bus.on_message(stray, codec::encoded_size(stray)), Error);
+  EXPECT_EQ(bus.duplicates_detected(), 0u);
+}
+
+TEST(MessageBus, LateCopyOfAFinishedExchangesRequestIsADuplicate) {
+  EventQueueTransport transport;
+  MessageBus bus{transport};
+  int served = 0;
+  const MessageBus::Server serve = [&served](const Message& req) {
+    ++served;
+    return Message::response_to(req);
+  };
+  Message request = Message::request(Action::kLookup, Id{}, Id::hash("n"));
+  request.request_id = bus.exchange(request, serve).request_id;
+  ASSERT_EQ(served, 1);
+
+  bus.on_message(request, codec::encoded_size(request));
+  EXPECT_EQ(served, 1);  // not served again
+  EXPECT_EQ(bus.duplicates_detected(), 1u);
+  EXPECT_EQ(bus.measured().duplicates.messages(), 1u);
+  EXPECT_EQ(bus.timeouts(), 0u);  // the exchange is over: no response is resent
+  EXPECT_TRUE(transport.idle());
+}
+
+TEST(MessageBus, StateStaysFlatOverAHundredThousandRpcs) {
+  // The bus remembers nothing of a finished RPC: an id below its counter
+  // that is no longer in flight was already served or applied. So once its
+  // tables have their working size, more traffic holds no more heap.
+  if (heap_in_use_bytes() == 0) GTEST_SKIP() << "no heap reading on this platform";
+  EventQueueTransport transport;
+  MessageBus bus{transport};
+  const Id server = Id::hash("server");
+  const Id home = Id::hash("home");
+  const auto rpcs = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      bus.exchange(Message::request(Action::kLookup, Id{}, server),
+                   [](const Message& req) { return Message::response_to(req); });
+      bus.post(Message::request(Action::kPublish, server, home), [](const Message&) {});
+    }
+    bus.sync();
+  };
+  rpcs(1000);
+  const std::uint64_t before = heap_in_use_bytes();
+  rpcs(100000);
+  const std::uint64_t after = heap_in_use_bytes();
+  EXPECT_EQ(bus.exchanges(), 101000u);
+  EXPECT_EQ(bus.posts(), 101000u);
+  EXPECT_LE(after, before + 64 * 1024)
+      << "the bus grew by " << (after - before) << " B over 100,000 exchanges and posts";
 }
 
 }  // namespace

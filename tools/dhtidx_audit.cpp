@@ -26,13 +26,10 @@
 #include "biblio/corpus.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "dht/can.hpp"
-#include "dht/chord.hpp"
-#include "dht/pastry.hpp"
-#include "dht/ring.hpp"
 #include "index/builder.hpp"
 #include "index/lookup.hpp"
 #include "persist/snapshot.hpp"
+#include "sim/simulation.hpp"
 #include "workload/generator.hpp"
 
 using namespace dhtidx;
@@ -89,12 +86,15 @@ std::vector<index::SchemeKind> schemes_from(const std::string& name) {
   throw Error("unknown scheme '" + name + "' (simple|flat|complex|all)");
 }
 
-std::vector<std::string> substrates_from(const std::string& name) {
-  if (name == "all") return {"ring", "chord", "can", "pastry"};
-  if (name == "ring" || name == "chord" || name == "can" || name == "pastry") {
-    return {name};
+std::vector<sim::Substrate> substrates_from(const std::string& name) {
+  std::vector<sim::Substrate> picked;
+  for (const auto& [substrate, substrate_name] : sim::kSubstrates) {
+    if (name == "all" || name == substrate_name) picked.push_back(substrate);
   }
-  throw Error("unknown substrate '" + name + "' (ring|chord|can|pastry|all)");
+  if (picked.empty()) {
+    throw Error("unknown substrate '" + name + "' (ring|chord|can|pastry|all)");
+  }
+  return picked;
 }
 
 index::CachePolicy policy_from(const std::string& name) {
@@ -112,38 +112,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-/// Builds the requested substrate with `count` nodes, fully converged.
-std::unique_ptr<dht::Dht> make_substrate(const std::string& name, std::size_t count,
-                                         std::uint64_t seed) {
-  if (name == "ring") {
-    return std::make_unique<dht::Ring>(dht::Ring::with_nodes(count));
-  }
-  if (name == "chord") {
-    auto chord = std::make_unique<dht::ChordNetwork>(seed ^ 0xC402D);
-    for (std::size_t i = 0; i < count; ++i) {
-      chord->add_node("node-" + std::to_string(i));
-      chord->stabilize_round(4);
-      chord->stabilize_round(4);
-    }
-    if (chord->stabilize_until_converged() < 0) {
-      throw InvariantError("chord substrate failed to converge");
-    }
-    return chord;
-  }
-  if (name == "can") {
-    auto can = std::make_unique<dht::CanNetwork>(seed ^ 0xCA9);
-    for (std::size_t i = 0; i < count; ++i) can->add_node("node-" + std::to_string(i));
-    return can;
-  }
-  auto pastry = std::make_unique<dht::PastryNetwork>(seed ^ 0x9A57);
-  for (std::size_t i = 0; i < count; ++i) pastry->add_node("node-" + std::to_string(i));
-  for (int r = 0; r < 3; ++r) pastry->repair_round();
-  if (!pastry->leaf_sets_correct()) {
-    throw InvariantError("pastry substrate failed to converge");
-  }
-  return pastry;
 }
 
 /// Runs `sessions` user lookups so the shortcut caches hold real traffic.
@@ -184,14 +152,13 @@ int run(const Args& args) {
   }
 
   bool all_clean = true;
-  for (const std::string& substrate_name : substrates_from(args.get("substrate", "all"))) {
+  for (const sim::Substrate substrate : substrates_from(args.get("substrate", "all"))) {
     for (const index::SchemeKind scheme_kind : schemes_from(args.get("scheme", "all"))) {
       const index::IndexingScheme scheme = index::IndexingScheme::make(scheme_kind);
-      const std::unique_ptr<dht::Dht> substrate =
-          make_substrate(substrate_name, nodes, seed);
+      sim::Overlay overlay{substrate, nodes, seed};
       net::TrafficLedger ledger;
-      storage::DhtStore store{*substrate, ledger, replication};
-      index::IndexService service{*substrate, ledger, capacity, replication};
+      storage::DhtStore store{overlay.dht(), ledger, replication};
+      index::IndexService service{overlay.dht(), ledger, capacity, replication};
 
       if (snapshot_xml) {
         persist::load_snapshot(*snapshot_xml, service, store);
@@ -206,9 +173,10 @@ int run(const Args& args) {
 
       audit::Options options;
       options.scheme = &scheme;
-      audit::Auditor auditor{*substrate, service, store, options};
+      audit::Auditor auditor{overlay.dht(), service, store, options};
       const audit::Report report = auditor.run();
-      const std::string name = index::to_string(scheme_kind) + "/" + substrate_name;
+      const std::string name =
+          index::to_string(scheme_kind) + "/" + sim::to_string(substrate);
       std::printf("%s\n", audit::json_summary(name, report).c_str());
       if (!report.clean() || args.has("report")) {
         std::fputs(report.to_text().c_str(), stderr);
