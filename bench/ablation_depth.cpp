@@ -95,7 +95,8 @@ Measurement measure(const index::IndexingScheme& scheme, const biblio::Corpus& c
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions options = parse_options(argc, argv);
+  const BenchOptions options =
+      parse_options(argc, argv, "its custom-depth schemes have no streaming world");
   banner("Ablation: index hierarchy depth (author path depth 1-4)");
   biblio::CorpusConfig corpus_config = paper_config().corpus;
   corpus_config.articles = 4000;

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   // Common CLI only: every interval reuses one mutable index service and its
   // shared ledger (resets between measurements), so the cells are inherently
   // sequential and --jobs has nothing to parallelize here.
-  parse_options(argc, argv);
+  parse_options(argc, argv, "its intervals share one materialized index service");
   banner("Ablation: year-interval queries (client-side range expansion)");
   biblio::CorpusConfig corpus_config = paper_config().corpus;
   corpus_config.articles = 5000;

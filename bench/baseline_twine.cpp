@@ -23,7 +23,7 @@ using namespace dhtidx::bench;
 int main(int argc, char** argv) {
   // Common CLI only: each side is one sequential run, so there are no
   // independent cells for --jobs to spread out.
-  parse_options(argc, argv);
+  parse_options(argc, argv, "the Twine baseline has no streaming world");
   banner("Baseline: INS/Twine strand replication vs. key-to-key indexing");
   sim::SimulationConfig base = paper_config();
   const biblio::Corpus corpus = biblio::Corpus::generate(base.corpus);

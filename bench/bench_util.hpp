@@ -38,22 +38,28 @@ inline std::size_t parse_count(const char* argv0, const std::string& flag, const
 
 /// Parses `--jobs N` / `--jobs=N` / `-j N`, `--shards N` / `--shards=N` (and
 /// `--help`). Every bench accepts the flags; binaries without independent
-/// simulation cells simply ignore them. Exits on unknown arguments.
-inline BenchOptions parse_options(int argc, char** argv) {
+/// simulation cells ignore --jobs. A bench whose cells cannot run as
+/// streaming worlds passes `cannot_stream`, the reason why: its --help
+/// leaves --shards out, and a nonzero --shards exits 2 with that reason.
+/// Exits on unknown arguments.
+inline BenchOptions parse_options(int argc, char** argv, const char* cannot_stream = nullptr) {
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--jobs N] [--shards N]\n"
+          "usage: %s [--jobs N]%s\n"
           "  --jobs N, -j N   worker threads for the experiment sweep\n"
-          "                   (default: hardware concurrency)\n"
-          "  --shards N       run every cell as a streaming world with N\n"
-          "                   shard workers (default: the materialized\n"
-          "                   single-threaded world; the streamed corpus is a\n"
-          "                   separate golden universe, results are\n"
-          "                   bit-identical across N)\n",
-          argv[0]);
+          "                   (default: hardware concurrency)\n",
+          argv[0], cannot_stream != nullptr ? "" : " [--shards N]");
+      if (cannot_stream == nullptr) {
+        std::printf(
+            "  --shards N       run every cell as a streaming world with N\n"
+            "                   shard workers (default: the materialized\n"
+            "                   single-threaded world; the streamed corpus is a\n"
+            "                   separate golden universe, results are\n"
+            "                   bit-identical across N)\n");
+      }
       std::exit(0);
     }
     if (arg == "--jobs" || arg == "-j" || arg == "--shards") {
@@ -78,6 +84,10 @@ inline BenchOptions parse_options(int argc, char** argv) {
       continue;
     }
     std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n", argv[0], arg.c_str());
+    std::exit(2);
+  }
+  if (options.shards != 0 && cannot_stream != nullptr) {
+    std::fprintf(stderr, "%s: --shards: %s\n", argv[0], cannot_stream);
     std::exit(2);
   }
   return options;

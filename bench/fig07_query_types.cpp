@@ -16,7 +16,7 @@ using namespace dhtidx::bench;
 int main(int argc, char** argv) {
   // Common CLI only: this exhibit observes one sequential generator stream,
   // so there are no independent cells for --jobs to spread out.
-  parse_options(argc, argv);
+  parse_options(argc, argv, "this exhibit builds no world to stream");
   banner("Figure 7: Most used query types (BibFinder log, 9,108 queries)");
   std::printf("%-22s %8s   bar\n", "query type", "share");
   for (const auto& type : workload::bibfinder_query_types()) {

@@ -32,7 +32,7 @@ void show_curve(const std::string& name, std::size_t population, std::size_t req
 
 int main(int argc, char** argv) {
   // Common CLI only: four fast curve fits, printed as they are computed.
-  parse_options(argc, argv);
+  parse_options(argc, argv, "this exhibit builds no world to stream");
   banner("Figure 9: Popularity distributions (power laws on log-log scales)");
   std::printf(
       "The paper plots request probability vs. rank for BibFinder authors,\n"

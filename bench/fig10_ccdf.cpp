@@ -13,7 +13,7 @@ using namespace dhtidx::bench;
 
 int main(int argc, char** argv) {
   // Common CLI only: one sequential sampling stream, no cells to spread out.
-  parse_options(argc, argv);
+  parse_options(argc, argv, "this exhibit builds no world to stream");
   banner("Figure 10: CCDF of the article ranking");
   const workload::PopularityModel model{10000};
 

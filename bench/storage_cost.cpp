@@ -17,7 +17,8 @@ using namespace dhtidx;
 using namespace dhtidx::bench;
 
 int main(int argc, char** argv) {
-  const BenchOptions options = parse_options(argc, argv);
+  const BenchOptions options =
+      parse_options(argc, argv, "its indexes are built with IndexBuilder::index_file");
   banner("Section V-B: Index storage requirements");
   const sim::SimulationConfig base = paper_config();
   const biblio::Corpus corpus = biblio::Corpus::generate(base.corpus);

@@ -86,7 +86,6 @@ class IndexingScheme {
 
   const std::string& name() const { return name_; }
   const std::vector<FieldRule>& rules() const { return rules_; }
-  const std::vector<PrefixRule>& prefix_rules() const { return prefix_rules_; }
 
   /// Adds a prefix index level. Returns *this for chaining.
   /// Throws InvariantError when the rule could violate covering.

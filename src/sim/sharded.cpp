@@ -21,7 +21,6 @@ namespace dhtidx::sim {
 
 namespace {
 
-using index::CachePolicy;
 using query::Query;
 
 /// Articles per bulk-synchronous build epoch. Fixed (never derived from the
@@ -49,80 +48,6 @@ std::size_t feed_epoch(const SimulationConfig& config) {
 
 constexpr std::uint32_t kNoPending = 0xFFFFFFFFu;
 
-/// Epoch-scoped intern requests, shared by build producers and feed
-/// recorders: the new (not yet pooled) queries a worker emitted this epoch,
-/// in emission order, deduplicated by canonical form, and resolved to
-/// interned refs by the serial intern sub-phase between the parallel phases.
-struct InternRequests {
-  /// Phase capability over the buffers: exclusive while the owning worker
-  /// fills them (produce/lookup sub-phases) and while the driver interns
-  /// (serial sub-phase); shared during apply, where any worker may read any
-  /// owner's resolved refs concurrently — and must never mutate them.
-  PhaseCapability phase_;
-  /// New queries, in emission order.
-  std::vector<Query> pending DHTIDX_GUARDED_BY(phase_);
-  /// canonical -> idx into pending. Exact-key probes only.
-  // dhtidx-lint: allow(hot-path-map) "exact-key dedup probe table, never iterated; cleared every epoch"
-  std::unordered_map<std::string, std::uint32_t> pending_index DHTIDX_GUARDED_BY(phase_);
-  /// pending[i] -> interned ref.
-  std::vector<const Query*> resolved DHTIDX_GUARDED_BY(phase_);
-
-  void reset() DHTIDX_REQUIRES(phase_) {
-    pending.clear();
-    pending_index.clear();
-    resolved.clear();
-  }
-
-  /// Resolves `q` to either an already-pooled ref (read-only interner probe)
-  /// or a worker-local pending slot, taking `q` (moved or copied) only when
-  /// it is new: an interned query flowing back through a recorded delta costs
-  /// one probe and no copy. The probe is safe concurrently: the pool only
-  /// grows in the serial intern sub-phase between parallel phases. Returns
-  /// the pooled instance or the pending copy, valid until the next resolve.
-  template <typename Q>
-  const Query& resolve(const query::QueryInterner& interner, Q&& q, const Query*& ref,
-                       std::uint32_t& pending_slot) DHTIDX_REQUIRES(phase_) {
-    if (const Query* existing = interner.find_existing(q)) {
-      ref = existing;
-      pending_slot = kNoPending;
-      return *existing;
-    }
-    return enqueue(Query{std::forward<Q>(q)}, ref, pending_slot);
-  }
-
-  /// The serial intern sub-phase: the only writes the shared pool ever sees.
-  /// intern() probes before inserting, so the same query pending in several
-  /// workers resolves to one instance.
-  void intern_all(query::QueryInterner& interner) DHTIDX_REQUIRES(phase_) {
-    resolved.reserve(pending.size());
-    for (Query& q : pending) {
-      resolved.push_back(interner.intern(std::move(q)));
-    }
-  }
-
-  /// The ref an operation resolved at emission time, or its post-intern
-  /// resolution when the query was new this epoch.
-  const Query* ref_of(const Query* direct, std::uint32_t pending_slot) const
-      DHTIDX_REQUIRES_SHARED(phase_) {
-    return direct != nullptr ? direct : resolved[pending_slot];
-  }
-
- private:
-  const Query& enqueue(Query&& q, const Query*& ref, std::uint32_t& pending_slot)
-      DHTIDX_REQUIRES(phase_) {
-    ref = nullptr;
-    const std::string canonical = q.canonical();
-    const auto it = pending_index.find(canonical);
-    if (it != pending_index.end()) {
-      pending_slot = it->second;
-      return pending[pending_slot];
-    }
-    pending_slot = static_cast<std::uint32_t>(pending.size());
-    pending_index.emplace(canonical, pending_slot);
-    return pending.emplace_back(std::move(q));
-  }
-};
-
 /// One build-phase operation, totally ordered by (vt, seq): vt is the global
 /// article index (disjoint across producers), seq the emission order within
 /// the article. Draining a node's operations in this order reproduces the
@@ -138,7 +63,7 @@ struct Op {
   Id key;
   std::uint32_t record = 0;
   // Publish ops: interned refs when the query was already pooled when the
-  // producer saw it, else indices into the producer's epoch intern requests
+  // producer saw it, else slots in the producer's epoch pending queries
   // (resolved by the serial intern sub-phase).
   const Query* source = nullptr;
   const Query* target = nullptr;
@@ -156,8 +81,8 @@ struct CacheDelta {
   std::uint32_t seq = 0;
   index::CacheDeltaKind kind = index::CacheDeltaKind::kTouch;
   Id node;  ///< the node whose cache this delta applies to
-  // Interned refs when the query was pooled at record time, else indices
-  // into the recorder's epoch intern requests.
+  // Interned refs when the query was pooled at record time, else slots in
+  // the recorder's epoch pending queries.
   const Query* source = nullptr;
   const Query* target = nullptr;
   std::uint32_t source_pending = kNoPending;
@@ -185,53 +110,104 @@ class ShardMap {
   std::size_t shards_;
 };
 
-/// Per-producer epoch state: the record buffer, the queue per owner shard,
-/// and the intern requests this producer will hand to the serial intern
-/// sub-phase.
-struct Producer {
-  /// Phase capability over the epoch buffers below. Exclusive during the
-  /// produce sub-phase (the owning worker is the sole writer) and the serial
-  /// intern sub-phase (the driver is alone); shared during the apply
-  /// sub-phase, where every worker reads any producer's queues, records and
-  /// resolved refs concurrently — and must therefore never mutate them (the
-  /// "no move-on-last-replica fast path" rule below).
-  PhaseCapability phase_;
-  std::vector<storage::Record> records DHTIDX_GUARDED_BY(phase_);
-  InternRequests interns;
-  /// One queue per owner shard, (vt,seq)-sorted by construction.
-  std::vector<std::vector<Op>> queues DHTIDX_GUARDED_BY(phase_);
+/// One worker's epoch buffers, the same for a build producer (Item = Op)
+/// and a feed recorder (Item = CacheDelta): a queue of items per owner
+/// shard, and the new (not yet pooled) queries the worker emitted this epoch,
+/// in emission order, deduplicated by canonical form and resolved to
+/// interned refs by the serial intern sub-phase.
+template <typename T>
+struct EpochBuffers {
+  using Item = T;
 
-  void reset(std::size_t shards) DHTIDX_REQUIRES(phase_) {
-    records.clear();
-    interns.phase_.assert_exclusive();  // same phase structure as the owner
-    interns.reset();
-    queues.assign(shards, {});
+  explicit EpochBuffers(std::size_t shards) : queues(shards) {}
+
+  /// Phase capability over every buffer of the worker: exclusive while the
+  /// owning worker fills them (produce or lookup sub-phase) and while the
+  /// driver interns (serial sub-phase); shared during apply, where any
+  /// worker reads any owner's buffers concurrently — and must never mutate
+  /// them.
+  PhaseCapability phase_;
+  /// One queue per owner shard, (vt, seq)-sorted by construction.
+  std::vector<std::vector<Item>> queues DHTIDX_GUARDED_BY(phase_);
+  /// New queries, in emission order.
+  std::vector<Query> pending DHTIDX_GUARDED_BY(phase_);
+  /// canonical -> idx into pending. Exact-key probes only.
+  // dhtidx-lint: allow(hot-path-map) "exact-key dedup probe table, never iterated; cleared every epoch"
+  std::unordered_map<std::string, std::uint32_t> pending_index DHTIDX_GUARDED_BY(phase_);
+  /// pending[i] -> interned ref.
+  std::vector<const Query*> resolved DHTIDX_GUARDED_BY(phase_);
+
+  /// Empties the buffers for the next epoch; the queues give back their
+  /// memory.
+  void reset() DHTIDX_REQUIRES(phase_) {
+    queues.assign(queues.size(), {});
+    pending.clear();
+    pending_index.clear();
+    resolved.clear();
+  }
+
+  /// Resolves `q` to either an already-pooled ref (read-only interner probe)
+  /// or a worker-local pending slot, taking `q` (moved or copied) only when
+  /// it is new: an interned query flowing back through a recorded delta costs
+  /// one probe and no copy. The probe is safe concurrently: the pool only
+  /// grows in the serial intern sub-phase between parallel phases. Returns
+  /// the pooled instance or the pending copy, valid until the next resolve.
+  template <typename Q>
+  const Query& resolve(const query::QueryInterner& interner, Q&& q, const Query*& ref,
+                       std::uint32_t& pending_slot) DHTIDX_REQUIRES(phase_) {
+    if (const Query* existing = interner.find_existing(q)) {
+      ref = existing;
+      pending_slot = kNoPending;
+      return *existing;
+    }
+    return enqueue(Query{std::forward<Q>(q)}, ref, pending_slot);
+  }
+
+  /// The serial intern sub-phase: intern() probes before inserting, so the
+  /// same query pending in several workers resolves to one instance.
+  void intern_all(query::QueryInterner& interner) DHTIDX_REQUIRES(phase_) {
+    resolved.reserve(pending.size());
+    for (Query& q : pending) resolved.push_back(interner.intern(std::move(q)));
+  }
+
+  /// The ref an item resolved at emission time, or its post-intern
+  /// resolution when the query was new this epoch.
+  const Query* ref_of(const Query* direct, std::uint32_t pending_slot) const
+      DHTIDX_REQUIRES_SHARED(phase_) {
+    return direct != nullptr ? direct : resolved[pending_slot];
+  }
+
+ private:
+  const Query& enqueue(Query&& q, const Query*& ref, std::uint32_t& pending_slot)
+      DHTIDX_REQUIRES(phase_) {
+    ref = nullptr;
+    const std::string canonical = q.canonical();
+    const auto it = pending_index.find(canonical);
+    if (it != pending_index.end()) {
+      pending_slot = it->second;
+      return pending[pending_slot];
+    }
+    pending_slot = static_cast<std::uint32_t>(pending.size());
+    pending_index.emplace(canonical, pending_slot);
+    return pending.emplace_back(std::move(q));
   }
 };
 
-/// Per-feed-worker epoch state: the recorder a worker's LookupEngine reports
-/// to in epochs longer than one session. Every delta is tagged with the
-/// session's virtual time and binned by the owner shard of its node; queries
-/// not yet pooled become intern requests, like the build's publish ops.
-class FeedRecorder final : public index::CacheDeltaRecorder {
+/// A build producer: its epoch buffers and the records its store ops copy,
+/// which each produce sub-phase clears before it fills them.
+struct Producer : EpochBuffers<Op> {
+  using EpochBuffers::EpochBuffers;
+  std::vector<storage::Record> records DHTIDX_GUARDED_BY(phase_);
+};
+
+/// A feed worker's epoch buffers, which its LookupEngine reports to in
+/// epochs longer than one session. Every delta is tagged with the session's
+/// virtual time and binned by the owner shard of its node.
+class FeedRecorder final : public EpochBuffers<CacheDelta>, public index::CacheDeltaRecorder {
  public:
   FeedRecorder(const query::QueryInterner& interner, const ShardMap& shard_map,
                std::size_t shards)
-      : queues(shards), interner_(interner), shard_map_(shard_map) {}
-
-  /// Phase capability over the epoch buffers: exclusive during the lookup
-  /// sub-phase (worker-private) and the serial intern sub-phase; shared
-  /// during apply, where every applier reads any recorder's queues.
-  PhaseCapability phase_;
-  InternRequests interns;
-  /// One queue per owner shard, (vt,seq)-sorted by construction.
-  std::vector<std::vector<CacheDelta>> queues DHTIDX_GUARDED_BY(phase_);
-
-  void reset() DHTIDX_REQUIRES(phase_) {
-    interns.phase_.assert_exclusive();  // same phase structure as the owner
-    interns.reset();
-    for (std::vector<CacheDelta>& queue : queues) queue.clear();
-  }
+      : EpochBuffers(shards), interner_(interner), shard_map_(shard_map) {}
 
   /// Stamps the virtual time of the session about to run; deltas emitted
   /// until the next call carry (query_index, running seq).
@@ -243,14 +219,13 @@ class FeedRecorder final : public index::CacheDeltaRecorder {
   void record(index::CacheDeltaKind kind, const Id& node, const Query& source,
               const Query& target) override {
     phase_.assert_exclusive();  // lookup sub-phase: the worker is the sole owner
-    interns.phase_.assert_exclusive();
     CacheDelta delta;
     delta.vt = vt_;
     delta.seq = seq_++;
     delta.kind = kind;
     delta.node = node;
-    interns.resolve(interner_, source, delta.source, delta.source_pending);
-    interns.resolve(interner_, target, delta.target, delta.target_pending);
+    resolve(interner_, source, delta.source, delta.source_pending);
+    resolve(interner_, target, delta.target, delta.target_pending);
     queues[shard_map_.shard_of(node)].push_back(delta);
   }
 
@@ -312,6 +287,36 @@ void merge_by_virtual_time(const std::vector<const std::vector<T>*>& queues, Fn&
     }
     if (best == queues.size()) break;
     apply(best, (*queues[best])[cursor[best]++]);
+  }
+}
+
+/// Ends an epoch of the build or the feed once its workers have filled
+/// their buffers. (intern) The calling thread interns every worker's new
+/// queries, the only writes the shared pool ever sees. (apply) Worker t
+/// drains the S queues addressed to its shard in (vt, seq) order and calls
+/// land(t, owner, item) for each item, `owner` being the worker whose
+/// buffers hold it. Then every worker's buffers are reset.
+template <typename Worker, typename Land>
+void intern_and_apply(std::vector<Worker>& workers, query::QueryInterner& interner,
+                      const Land& land) {
+  using Item = typename Worker::Item;
+  for (Worker& worker : workers) {
+    worker.phase_.assert_exclusive();  // serial sub-phase: the caller is alone
+    worker.intern_all(interner);
+  }
+  run_workers(workers.size(), [&](std::size_t t) {
+    std::vector<const std::vector<Item>*> queues;
+    queues.reserve(workers.size());
+    for (const Worker& worker : workers) {
+      worker.phase_.assert_shared();  // apply sub-phase: buffers frozen
+      queues.push_back(&worker.queues[t]);
+    }
+    merge_by_virtual_time<Item>(
+        queues, [&](std::size_t p, const Item& item) { land(t, workers[p], item); });
+  });
+  for (Worker& worker : workers) {
+    worker.phase_.assert_exclusive();  // between epochs: no workers running
+    worker.reset();
   }
 }
 
@@ -379,15 +384,11 @@ void build_world(const SimulationConfig& config, dht::Dht& dht, index::IndexServ
     store.node_store(node);
   }
 
-  std::vector<Producer> producers(shards);
+  std::vector<Producer> producers(shards, Producer{shards});
   const std::size_t total = articles.size();
 
   for (std::size_t epoch_start = 0; epoch_start < total; epoch_start += kBuildEpoch) {
     const std::size_t epoch_end = std::min(total, epoch_start + kBuildEpoch);
-    for (Producer& producer : producers) {
-      producer.phase_.assert_exclusive();  // between epochs: no workers running
-      producer.reset(shards);
-    }
 
     // (produce) -- take the articles, compute placements, emit operations.
     // Producer p owns articles i with i % S == p, walked in increasing i, so
@@ -395,7 +396,7 @@ void build_world(const SimulationConfig& config, dht::Dht& dht, index::IndexServ
     run_workers(shards, [&](std::size_t p) {
       Producer& producer = producers[p];
       producer.phase_.assert_exclusive();  // worker p is producer p's sole owner
-      producer.interns.phase_.assert_exclusive();
+      producer.records.clear();
       for (std::size_t i = epoch_start; i < epoch_end; ++i) {
         if (i % shards != p) continue;
         const biblio::Article& article = articles.article(i);
@@ -426,12 +427,10 @@ void build_world(const SimulationConfig& config, dht::Dht& dht, index::IndexServ
         for (index::Mapping& m : mappings) {
           Op op;
           op.vt = i;
-          const Id source_key = producer.interns
-                                    .resolve(interner, std::move(m.source), op.source,
-                                             op.source_pending)
-                                    .key();
-          producer.interns.resolve(interner, std::move(m.target), op.target,
-                                   op.target_pending);
+          const Id source_key =
+              producer.resolve(interner, std::move(m.source), op.source, op.source_pending)
+                  .key();
+          producer.resolve(interner, std::move(m.target), op.target, op.target_pending);
           const std::vector<Id> replicas = dht::write_nodes(
               dht, source_key, service.replication(), service.failures());
           for (const Id& replica : replicas) {
@@ -445,40 +444,23 @@ void build_world(const SimulationConfig& config, dht::Dht& dht, index::IndexServ
       }
     });
 
-    // (intern) -- the only writes the shared pool ever sees, serialized in
-    // the driver.
-    for (Producer& producer : producers) {
-      producer.phase_.assert_exclusive();  // serial sub-phase: driver is alone
-      producer.interns.phase_.assert_exclusive();
-      producer.interns.intern_all(interner);
-    }
-
-    // (apply) -- worker t drains the S queues addressed to its shard with an
-    // S-way merge by (vt, seq), placing each operation on the owned node.
-    run_workers(shards, [&](std::size_t t) {
-      std::vector<const std::vector<Op>*> queues;
-      queues.reserve(shards);
-      for (std::size_t p = 0; p < shards; ++p) {
-        producers[p].phase_.assert_shared();  // apply sub-phase: buffers frozen
-        queues.push_back(&producers[p].queues[t]);
+    // (intern, apply) -- worker t places each operation addressed to its
+    // shard on the owned node.
+    intern_and_apply(producers, interner, [&](std::size_t, const Producer& producer,
+                                              const Op& op) {
+      // Appliers only ever *read* producer state: a record replicated across
+      // nodes owned by different shards is copied concurrently, so there must
+      // be no mutating fast path (a "move on last replica" would race with
+      // another shard's copy of the same record).
+      producer.phase_.assert_shared();  // read-only rights, shared with peers
+      if (op.is_store) {
+        store.place(op.node, op.key, producer.records[op.record], net::Action::kStore);
+      } else {
+        // No covering check here: the scheme guarantees source ⊒ target by
+        // construction and the DHTIDX_AUDIT pass re-verifies it.
+        service.place(op.node, producer.ref_of(op.source, op.source_pending),
+                      producer.ref_of(op.target, op.target_pending), 0, op.primary);
       }
-      merge_by_virtual_time<Op>(queues, [&](std::size_t p, const Op& op) {
-        // Appliers only ever *read* producer state: a record replicated
-        // across nodes owned by different shards is copied concurrently, so
-        // there must be no mutating fast path (a "move on last replica"
-        // would race with another shard's copy of the same record).
-        const Producer& producer = producers[p];
-        producer.phase_.assert_shared();  // read-only rights, shared with peers
-        producer.interns.phase_.assert_shared();
-        if (op.is_store) {
-          store.place(op.node, op.key, producer.records[op.record]);
-        } else {
-          // No covering check here: the scheme guarantees source ⊒ target by
-          // construction and the DHTIDX_AUDIT pass re-verifies it.
-          service.place(op.node, producer.interns.ref_of(op.source, op.source_pending),
-                        producer.interns.ref_of(op.target, op.target_pending), 0, op.primary);
-        }
-      });
     });
   }
 }
@@ -544,44 +526,21 @@ FeedTotals feed_world(const SimulationConfig& config, dht::Dht& dht,
     run_workers(shards, lookup);
     if (!deferred) continue;
 
-    // (intern) -- resolve the epoch's new queries against the shared pool,
-    // serialized on the calling thread.
-    for (FeedRecorder& recorder : recorders) {
-      recorder.phase_.assert_exclusive();  // serial sub-phase: the caller is alone
-      recorder.interns.phase_.assert_exclusive();
-      recorder.interns.intern_all(interner);
-    }
-
-    // (apply) -- worker t merges the delta queues addressed to its shard by
-    // (vt, seq) and applies them to the caches it owns through
-    // apply_cache_delta, the rule an immediate apply uses. Install traffic
-    // lands in the applier's own ledger.
-    run_workers(shards, [&](std::size_t t) {
+    // (intern, apply) -- worker t applies each delta addressed to its shard
+    // to the cache it owns through apply_cache_delta, the rule an immediate
+    // apply uses. Install traffic lands in the applier's own ledger.
+    intern_and_apply(recorders, interner, [&](std::size_t t, const FeedRecorder& recorder,
+                                              const CacheDelta& delta) {
       const net::ScopedLedgerOverride scope{&accumulators[t].ledger};
-      std::vector<const std::vector<CacheDelta>*> queues;
-      queues.reserve(shards);
-      for (std::size_t p = 0; p < shards; ++p) {
-        recorders[p].phase_.assert_shared();  // apply sub-phase: buffers frozen
-        queues.push_back(&recorders[p].queues[t]);
+      recorder.phase_.assert_shared();  // read-only rights, shared with peers
+      index::IndexNodeState* state = service.find_state(delta.node);
+      if (state == nullptr) {
+        throw InvariantError("cache delta for a node with no index partition");
       }
-      merge_by_virtual_time<CacheDelta>(queues, [&](std::size_t p,
-                                                    const CacheDelta& delta) {
-        const FeedRecorder& recorder = recorders[p];
-        recorder.phase_.assert_shared();  // read-only rights, shared with peers
-        recorder.interns.phase_.assert_shared();
-        index::IndexNodeState* state = service.find_state(delta.node);
-        if (state == nullptr) {
-          throw InvariantError("cache delta for a node with no index partition");
-        }
-        index::apply_cache_delta(service, delta.node, *state, delta.kind,
-                                 recorder.interns.ref_of(delta.source, delta.source_pending),
-                                 recorder.interns.ref_of(delta.target, delta.target_pending));
-      });
+      index::apply_cache_delta(service, delta.node, *state, delta.kind,
+                               recorder.ref_of(delta.source, delta.source_pending),
+                               recorder.ref_of(delta.target, delta.target_pending));
     });
-    for (FeedRecorder& recorder : recorders) {
-      recorder.phase_.assert_exclusive();  // between epochs: no workers running
-      recorder.reset();
-    }
   }
 
   FeedTotals totals;

@@ -33,6 +33,10 @@
 //    (apply) each worker merges its shard's deltas by (vt, seq) through
 //    index::apply_cache_delta, the rule an immediate apply uses. Results are
 //    bit-identical for every S, including S = 1.
+//  - The build and the feed share their per-worker buffers (a queue per
+//    owner shard, the epoch's new queries and their resolved refs, under one
+//    phase capability) and one intern -> apply -> reset step; they differ
+//    only in the callback that lands an item: place it, or apply the delta.
 //
 // run_simulation rejects (InvariantError) a streaming world with a non-Ring
 // substrate, a wire layer (MessageBus is single-threaded), churn, chaos or a

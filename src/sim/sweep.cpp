@@ -121,7 +121,7 @@ void parallel_for(std::size_t jobs, std::size_t count,
 }
 
 SweepRunner::SweepRunner(SweepOptions options)
-    : options_(options), jobs_(resolve_jobs(options.jobs)) {}
+    : jobs_(resolve_jobs(options.jobs)) {}
 
 SweepSummary SweepRunner::run(const std::vector<SimulationConfig>& cells,
                               const biblio::Corpus* shared_corpus) const {

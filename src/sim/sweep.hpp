@@ -82,7 +82,6 @@ class SweepRunner {
                    const biblio::Corpus* shared_corpus = nullptr) const;
 
  private:
-  SweepOptions options_;
   std::size_t jobs_;
 };
 

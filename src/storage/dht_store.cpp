@@ -37,15 +37,15 @@ StoreResult DhtStore::put(const Id& key, const Record& record) {
   const std::vector<Id> targets = dht::write_nodes(dht_, key, replication_, failures_);
   for (const Id& replica : targets) {
     net::active(ledger_).queries.record(request_bytes);
-    place(replica, key, record);
+    place(replica, key, record, net::Action::kStore);
   }
   return StoreResult{targets.empty() ? Id{} : targets.front()};
 }
 
-void DhtStore::place(const Id& node, const Id& key, const Record& record) {
+void DhtStore::place(const Id& node, const Id& key, const Record& record,
+                     net::Action action) {
   if (bus_ != nullptr) {
-    bus_->post(wire_message(net::Action::kStore, node, key, &record),
-               [](const net::Message&) {});
+    bus_->post(wire_message(action, node, key, &record), [](const net::Message&) {});
   }
   NodeStore* store = find_node_store(node);
   if (store == nullptr) store = &node_store(node);
@@ -141,11 +141,7 @@ std::size_t DhtStore::ensure(const Id& key, const Record& record) {
   for (const Id& replica : dht::write_nodes(dht_, key, replication_, failures_)) {
     const std::vector<Record>& existing = records_at(replica, key);
     if (std::find(existing.begin(), existing.end(), record) != existing.end()) continue;
-    if (bus_ != nullptr) {
-      bus_->post(wire_message(net::Action::kReplicate, replica, key, &record),
-                 [](const net::Message&) {});
-    }
-    stores_[replica].put(key, record);
+    place(replica, key, record, net::Action::kReplicate);
     ++created;
   }
   return created;
@@ -196,26 +192,16 @@ std::size_t DhtStore::rebalance() {
         break;
       }
     }
-    // Take the destination reference first: operator[] may insert, and a
-    // FlatMap insertion invalidates references into the map. `from` already
-    // exists (we just iterated it), so the second access cannot insert.
-    // Generation-checked Refs trap the bind-order regression PR 5 hit here:
-    // rebinding the accesses would throw instead of reading moved-out memory
-    // (tests/test_query_cache.cpp pins the trap).
-    stores_[to];  // materialize the destination before binding any reference
-    FlatMap<Id, NodeStore>::Ref destination{stores_, to};
-    FlatMap<Id, NodeStore>::Ref source{stores_, from};
-    std::vector<Record> records = source->get(key);  // copy before erasing
-    source->erase(key);
-    for (Record& r : records) {
+    // Copy and erase before placing: place() may insert the destination's
+    // store, and a FlatMap insertion invalidates references into the map.
+    NodeStore& source = *find_node_store(from);  // we just iterated it
+    std::vector<Record> records = source.get(key);
+    source.erase(key);
+    for (const Record& r : records) {
       // The primary may already hold a replica of this record.
-      const std::vector<Record>& existing = destination->get(key);
+      const std::vector<Record>& existing = records_at(to, key);
       if (std::find(existing.begin(), existing.end(), r) != existing.end()) continue;
-      if (bus_ != nullptr) {
-        bus_->post(wire_message(net::Action::kRepair, to, key, &r),
-                   [](const net::Message&) {});
-      }
-      destination->put(key, std::move(r));
+      place(to, key, r, net::Action::kRepair);
       ++moved;
     }
   }
@@ -225,8 +211,12 @@ std::size_t DhtStore::rebalance() {
   // replica's records survive elsewhere but with one copy fewer). Re-create
   // missing copies so every record is back at its full replica set.
   if (replication_ > 1) {
-    std::vector<std::pair<Id, Record>> copies;  // (destination node, record) per key
-    std::vector<Id> copy_keys;
+    struct Copy {
+      Id node;
+      Id key;
+      Record record;
+    };
+    std::vector<Copy> copies;
     for (const auto& [node, store] : stores_) {
       for (const Id& key : store.keys()) {
         for (const Id& replica : dht_.replica_set(key, replication_)) {
@@ -234,25 +224,17 @@ std::size_t DhtStore::rebalance() {
           const std::vector<Record>& theirs = records_at(replica, key);
           for (const Record& r : store.get(key)) {
             if (std::find(theirs.begin(), theirs.end(), r) == theirs.end()) {
-              copies.emplace_back(replica, r);
-              copy_keys.push_back(key);
+              copies.push_back(Copy{replica, key, r});
             }
           }
         }
       }
     }
-    for (std::size_t i = 0; i < copies.size(); ++i) {
+    for (const Copy& copy : copies) {
       // Re-check: an earlier copy in this batch may have filled the gap.
-      const std::vector<Record>& existing = stores_[copies[i].first].get(copy_keys[i]);
-      if (std::find(existing.begin(), existing.end(), copies[i].second) != existing.end()) {
-        continue;
-      }
-      if (bus_ != nullptr) {
-        bus_->post(wire_message(net::Action::kRepair, copies[i].first, copy_keys[i],
-                                &copies[i].second),
-                   [](const net::Message&) {});
-      }
-      stores_[copies[i].first].put(copy_keys[i], copies[i].second);
+      const std::vector<Record>& existing = records_at(copy.node, copy.key);
+      if (std::find(existing.begin(), existing.end(), copy.record) != existing.end()) continue;
+      place(copy.node, copy.key, copy.record, net::Action::kRepair);
       ++moved;
     }
     if (bus_ != nullptr) bus_->sync();

@@ -41,12 +41,13 @@ class DhtStore {
   /// crashed candidates. Each copy is charged as a query.
   StoreResult put(const Id& key, const Record& record);
 
-  /// The per-node apply of a store, shared by put() and the op pipeline
-  /// (sim::build_world): posts the kStore frame when a bus is attached and
-  /// appends the record. Charges no traffic. Creates the node's store only
-  /// when it has none, so concurrent appliers are safe once every store
-  /// exists.
-  void place(const Id& node, const Id& key, const Record& record);
+  /// The one per-node record write, shared by put() and the op pipeline
+  /// (sim::build_world) with kStore, ensure() with kReplicate and
+  /// rebalance() with kRepair: posts the `action` frame when a bus is
+  /// attached and appends the record. Charges no traffic. Creates the node's
+  /// store only when it has none, so concurrent appliers are safe once every
+  /// store exists.
+  void place(const Id& node, const Id& key, const Record& record, net::Action action);
 
   /// Fetches all records under `key`. The responsible node is asked first;
   /// when it has nothing (e.g. it lost its store in a crash), the remaining

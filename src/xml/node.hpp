@@ -28,7 +28,6 @@ class Element {
       : name_(std::move(name)), text_(std::move(text)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   const std::string& text() const { return text_; }
   void set_text(std::string text) { text_ = std::move(text); }

@@ -73,20 +73,6 @@ void write_element(std::string& out, const Element& element, const WriteOptions&
 
 }  // namespace
 
-std::string escape_text(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  append_escaped(out, text, /*in_attribute=*/false);
-  return out;
-}
-
-std::string escape_attribute(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  append_escaped(out, text, /*in_attribute=*/true);
-  return out;
-}
-
 std::string write(const Element& root, const WriteOptions& options) {
   std::string out;
   if (options.declaration) out += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";

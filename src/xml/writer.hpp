@@ -17,10 +17,4 @@ struct WriteOptions {
 /// Serializes an element subtree.
 std::string write(const Element& root, const WriteOptions& options = {});
 
-/// Escapes the five predefined XML entities in character data.
-std::string escape_text(std::string_view text);
-
-/// Escapes text for use inside a double-quoted attribute value.
-std::string escape_attribute(std::string_view text);
-
 }  // namespace dhtidx::xml

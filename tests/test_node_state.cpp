@@ -207,11 +207,18 @@ TEST(BuildDrivers, IndexFileAndShardedBuildPlaceTheSameWorld) {
   // across shards) must leave every node with the same entries and records.
   // At one shard, with a message bus on each side, they must also post the
   // same store, publish and replicate frames: the same bytes in the same
-  // order, and the same virtual clock once each bus is synced.
-  for (const std::size_t replication : {1u, 3u}) {
+  // order, and the same virtual clock once each bus is synced. The
+  // 9,000-article corpus is more than one build epoch (8,192 articles), so
+  // the pipeline resets its epoch buffers between two epochs.
+  const struct {
+    std::size_t articles;
+    std::size_t replication;
+  } inputs[] = {{2000, 1}, {2000, 3}, {9000, 1}};
+  for (const auto& [articles, replication] : inputs) {
+    SCOPED_TRACE(std::to_string(articles) + " articles");
     sim::SimulationConfig config;
     config.nodes = 64;
-    config.corpus.articles = 2000;
+    config.corpus.articles = articles;
     config.scheme = SchemeKind::kComplex;
     config.replication = replication;
     const biblio::ArticleStream stream{config.corpus};

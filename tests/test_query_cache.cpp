@@ -247,9 +247,9 @@ TEST(FlatMapTest, StaleRefTrapsInsteadOfReadingFreedMemory) {
 }
 
 TEST(FlatMapTest, CorrectBindOrderSurvivesTheRebalancePattern) {
-  // The fixed pattern used by DhtStore::rebalance: materialize the
-  // destination first, then bind both handles, then move data. No mutation
-  // happens between binding and use, so no trap fires.
+  // The fixed bind order: materialize the destination first, then bind both
+  // handles, then move data. No mutation happens between binding and use, so
+  // no trap fires.
   FlatMap<int, std::vector<int>> stores;
   stores.try_emplace(1).first->second = {1, 2, 3};
 
