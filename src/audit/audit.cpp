@@ -599,7 +599,7 @@ void Auditor::check_convergence(Report& report) {
     if (bus->pending_posts() != 0) {
       add_violation(report, Invariant::kConvergence, "bus",
                     std::to_string(bus->pending_posts()) +
-                        " one-way post(s) never applied");
+                        " one-way post(s) never delivered");
     }
     ++section.checked;
     if (!bus->transport().idle()) {

@@ -83,7 +83,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
           notice.status = net::Status::kNotFound;
           notice.payload.push_back(jumped_from->second->canonical());
           notice.payload.push_back(target_msd.canonical());
-          bus->post(std::move(notice), [](const net::Message&) {});
+          bus->post(std::move(notice));
         }
         recorder_->record(CacheDeltaKind::kInvalidate, jumped_from->first,
                           *jumped_from->second, target_msd);
@@ -268,7 +268,7 @@ void apply_cache_delta(IndexService& service, const Id& node, IndexNodeState& st
         net::Message install = net::Message::request(net::Action::kShortcut, Id{}, node);
         install.payload.push_back(source->canonical());
         install.payload.push_back(target->canonical());
-        bus->post(std::move(install), [](const net::Message&) {});
+        bus->post(std::move(install));
       }
       return;
     case CacheDeltaKind::kInvalidate:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -20,39 +21,33 @@ net::Message IndexService::wire_request(net::Action action, const Id& node,
   return request;
 }
 
-void IndexService::wire_remove(const Id& node, const query::Query* source,
-                               const query::Query* target, bool removed) {
-  net::Message request = net::Message::request(net::Action::kRemove, Id{}, node);
-  request.payload.push_back(source->canonical());
-  request.payload.push_back(target->canonical());
-  bus_->exchange(std::move(request), [&](const net::Message& m) {
-    net::Message response = net::Message::response_to(m);
-    response.status = removed ? net::Status::kOk : net::Status::kNotFound;
-    return response;
-  });
+net::Message IndexService::wire_mapping(net::Action action, const Id& node,
+                                        const query::Query* source,
+                                        const query::Query* target) const {
+  net::Message message = wire_request(action, node, *source);
+  message.payload.push_back(target->canonical());
+  return message;
 }
 
-void IndexService::wire_lookup(const query::Query& q, const Id& node,
+void IndexService::wire_lookup(const query::Query& q, const query::Query* interned,
+                               const IndexNodeState* state, const Id& node,
                                net::Action action, bool consider_cache) {
-  bus_->exchange(wire_request(action, node, q), [&](const net::Message& m) {
-    // Serve from the contacted node's live state at delivery time. A query
-    // the pool does not hold has no mapping or shortcut anywhere.
-    net::Message response = net::Message::response_to(m);
-    const IndexNodeState* state = find_state(m.to);
-    const query::Query* interned = state != nullptr ? interner_->find_existing(q) : nullptr;
-    if (interned != nullptr) {
-      for (const IndexNodeState::TargetRef& ref : state->entry_of(interned).targets) {
-        response.payload.push_back(ref.target->canonical());
-      }
-      if (consider_cache) {
-        for (const query::Query* t : state->cache().targets_of(interned)) {
-          response.payload.push_back(t->canonical());
-        }
+  net::Message request = wire_request(action, node, q);
+  // The contacted node's answer, from its state at the call. A query the
+  // pool does not hold has no mapping or shortcut anywhere.
+  net::Message reply = net::Message::response_to(request);
+  if (state != nullptr && interned != nullptr) {
+    for (const IndexNodeState::TargetRef& ref : state->entry_of(interned).targets) {
+      reply.payload.push_back(ref.target->canonical());
+    }
+    if (consider_cache) {
+      for (const query::Query* t : state->cache().targets_of(interned)) {
+        reply.payload.push_back(t->canonical());
       }
     }
-    if (response.payload.empty()) response.status = net::Status::kNotFound;
-    return response;
-  });
+  }
+  if (reply.payload.empty()) reply.status = net::Status::kNotFound;
+  bus_->exchange(std::move(request), std::move(reply));
 }
 
 Id IndexService::insert(const query::Query& source, const query::Query& target,
@@ -88,11 +83,8 @@ void IndexService::place(const Id& node, const query::Query* source,
   if (bus_ != nullptr) {
     // The primary gets the publish; further copies are replication pushes.
     // The frame carries both canonical forms and is acknowledged by the node.
-    net::Message message = net::Message::request(
-        primary ? net::Action::kPublish : net::Action::kReplicate, Id{}, node);
-    message.payload.push_back(source->canonical());
-    message.payload.push_back(target->canonical());
-    bus_->post(std::move(message), [](const net::Message&) {});
+    bus_->post(wire_mapping(primary ? net::Action::kPublish : net::Action::kReplicate, node,
+                            source, target));
   }
 }
 
@@ -128,7 +120,13 @@ bool IndexService::remove_interned(const query::Query* source, const query::Quer
       if (removed_here) removed_any = true;
       if (state->has_source(source)) any_left = true;
     }
-    if (bus_ != nullptr) wire_remove(replica, source, target, removed_here);
+    if (bus_ != nullptr) {
+      // The response leg reports whether the mapping existed there.
+      net::Message request = wire_mapping(net::Action::kRemove, replica, source, target);
+      net::Message reply = net::Message::response_to(request);
+      reply.status = removed_here ? net::Status::kOk : net::Status::kNotFound;
+      bus_->exchange(std::move(request), std::move(reply));
+    }
   }
   source_now_empty = removed_any && !any_left;
   return removed_any;
@@ -148,10 +146,12 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
   // entries, or shortcuts when the caller consults the cache), or after
   // `replication_` live replicas all turned out empty -- further candidates
   // hold no copy by the placement rule. The usefulness probe only decides
-  // failover, so with one copy it is skipped: the one live replica answers.
-  // It probes on q's interned instance, resolved once here; a query the pool
-  // does not hold has no mapping or shortcut on any replica.
-  const query::Query* interned = replication_ > 1 ? interner_->find_existing(q) : nullptr;
+  // failover, so with one copy and no wire reply to build it is skipped: the
+  // one live replica answers. It probes on q's interned instance, resolved
+  // once here; a query the pool does not hold has no mapping or shortcut on
+  // any replica.
+  const query::Query* interned =
+      replication_ > 1 || bus_ != nullptr ? interner_->find_existing(q) : nullptr;
   IndexNodeState* first_state = nullptr;
   Id first_node = result.node;
   std::size_t contacted = 0;
@@ -169,8 +169,8 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
     if (!delivered) continue;
     ++contacted;
     net::active(ledger_).queries.record(request_bytes);
-    if (bus_ != nullptr) wire_lookup(q, replica, action, consider_cache);
     IndexNodeState* state = find_state(replica);
+    if (bus_ != nullptr) wire_lookup(q, interned, state, replica, action, consider_cache);
     const bool useful = interned != nullptr && state != nullptr &&
                         (state->has_source(interned) ||
                          (consider_cache && state->cache().bucket_size(interned) != 0));
@@ -285,28 +285,7 @@ std::size_t IndexService::rebalance() {
     }
     for (const Id& replica : dht_.replica_set(move.source->key(), replication_)) {
       if (is_dead(replica)) continue;
-      // The placement applies when the repair message is *delivered*: with
-      // the event-queue transport that is the frame's virtual delivery time,
-      // so churn repair ordering is event-accurate. Placements commute with
-      // the inline removals above (stranded nodes are outside the replica
-      // set), so the final state is transport-independent.
-      const auto apply = [this, &changed, source = move.source, target = move.target,
-                          stamp = move.stamp, replica](const net::Message&) {
-        IndexNodeState& state = state_at(replica);
-        const auto existing = state.refresh_stamp(source, target);
-        if (!existing || *existing < stamp) {
-          state.add(source, target, stamp);
-          ++changed;
-        }
-      };
-      if (bus_ != nullptr) {
-        net::Message message = net::Message::request(net::Action::kRepair, Id{}, replica);
-        message.payload.push_back(move.source->canonical());
-        message.payload.push_back(move.target->canonical());
-        bus_->post(std::move(message), apply);
-      } else {
-        apply(net::Message{});
-      }
+      if (repair(replica, move.source, move.target, move.stamp)) ++changed;
     }
   }
   if (bus_ != nullptr) bus_->sync();
@@ -346,29 +325,22 @@ std::size_t IndexService::rebalance() {
     for (const auto& [key, fact] : facts) {
       for (const Id& replica : dht_.replica_set(fact.source->key(), replication_)) {
         if (is_dead(replica)) continue;
-        const auto apply = [this, &changed, source = fact.source, target = fact.target,
-                            stamp = fact.stamp, replica](const net::Message&) {
-          IndexNodeState& state = state_at(replica);
-          const auto existing = state.refresh_stamp(source, target);
-          if (!existing || *existing != stamp) {
-            state.add(source, target, stamp);
-            ++changed;
-          }
-        };
-        if (bus_ != nullptr) {
-          net::Message message =
-              net::Message::request(net::Action::kRepair, Id{}, replica);
-          message.payload.push_back(fact.source->canonical());
-          message.payload.push_back(fact.target->canonical());
-          bus_->post(std::move(message), apply);
-        } else {
-          apply(net::Message{});
-        }
+        if (repair(replica, fact.source, fact.target, fact.stamp)) ++changed;
       }
     }
     if (bus_ != nullptr) bus_->sync();
   }
   return changed;
+}
+
+bool IndexService::repair(const Id& replica, const query::Query* source,
+                          const query::Query* target, std::uint64_t stamp) {
+  IndexNodeState& state = state_at(replica);
+  const std::optional<std::uint64_t> held = state.refresh_stamp(source, target);
+  const bool stale = !held || *held < stamp;
+  if (stale) state.add(source, target, stamp);
+  if (bus_ != nullptr) bus_->post(wire_mapping(net::Action::kRepair, replica, source, target));
+  return stale;
 }
 
 IndexService::Totals IndexService::totals() const {

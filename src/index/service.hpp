@@ -149,8 +149,9 @@ class IndexService {
   /// key's replica set migrate to the current replica set (freshest stamp
   /// wins), and empty partitions of departed nodes are dropped; (2) with
   /// replication > 1, every mapping is copied to all of its replicas and
-  /// stamps are made identical (the max across copies). Returns the number
-  /// of copies created or refreshed. Maintenance operation: no traffic
+  /// stamps are made identical (the max across copies). Copies are written
+  /// at the call, so frame order cannot change them. Returns the number of
+  /// copies created or refreshed. Maintenance operation: no traffic
   /// accounted.
   std::size_t rebalance();
 
@@ -191,8 +192,8 @@ class IndexService {
   /// travels as a typed net::Message whose serialized size lands in the
   /// bus's measured ledger. nullptr (the default) keeps the pure in-process
   /// behaviour with analytic accounting only. The in-process state remains
-  /// authoritative either way — the bus's serve/apply callbacks read and
-  /// write the same node states at message-delivery time.
+  /// authoritative either way: each operation changes and reads the node
+  /// states at the call, then hands the bus the frames, replies included.
   void set_bus(net::MessageBus* bus) { bus_ = bus; }
   net::MessageBus* bus() const { return bus_; }
 
@@ -210,20 +211,26 @@ class IndexService {
   Totals totals() const;
 
  private:
-  /// Runs the lookup RPC for `q` against `node` over the bus: request out,
-  /// response built from the node's live index state (and shortcut bucket
-  /// when `consider_cache`) at delivery time.
-  void wire_lookup(const query::Query& q, const Id& node, net::Action action,
+  /// The lookup RPC for `q` against `node`: the reply lists the targets of
+  /// `interned` (q's pooled instance, or nullptr) in `state` (or nullptr),
+  /// and its shortcuts when `consider_cache`.
+  void wire_lookup(const query::Query& q, const query::Query* interned,
+                   const IndexNodeState* state, const Id& node, net::Action action,
                    bool consider_cache);
 
   /// Builds the request leg of an index RPC carrying `q` (client → node).
   net::Message wire_request(net::Action action, const Id& node,
                             const query::Query& q) const;
 
-  /// Runs the remove RPC against one replica; the response leg reports
-  /// whether the mapping existed there.
-  void wire_remove(const Id& node, const query::Query* source,
-                   const query::Query* target, bool removed);
+  /// wire_request for `source` with `target`'s canonical form appended.
+  net::Message wire_mapping(net::Action action, const Id& node, const query::Query* source,
+                            const query::Query* target) const;
+
+  /// One copy of rebalance(): writes the mapping on `replica` unless it holds
+  /// one at least as fresh as `stamp`, posts kRepair either way, and returns
+  /// whether it wrote.
+  bool repair(const Id& replica, const query::Query* source, const query::Query* target,
+              std::uint64_t stamp);
 
   dht::Dht& dht_;
   net::TrafficLedger& ledger_;

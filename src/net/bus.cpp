@@ -7,10 +7,12 @@
 
 namespace dhtidx::net {
 
-Message MessageBus::exchange(Message request, const Server& serve) {
+Message MessageBus::exchange(Message request, Message reply) {
   const std::uint64_t id = next_request_id_++;
   request.request_id = id;
-  InFlight& rpc = in_flight_.try_emplace(id, &serve).first->second;
+  reply.request_id = id;
+  InFlight& rpc = in_flight_.try_emplace(id).first->second;
+  rpc.reply = std::move(reply);
   ++exchanges_;
   try {
     account(request, transport_.send(request));
@@ -46,13 +48,13 @@ Message MessageBus::exchange(Message request, const Server& serve) {
   return response;
 }
 
-void MessageBus::post(Message message, Applier apply) {
+void MessageBus::post(Message message) {
   const std::uint64_t id = next_request_id_++;
   message.request_id = id;
   ++posts_;
   account(message, transport_.send(message));
-  // send() only queues, so the entry is in place before delivery applies it.
-  pending_posts_.emplace(id, PendingPost{std::move(apply), std::move(message)});
+  // send() only queues, so the entry is in place before delivery acks it.
+  pending_posts_.emplace(id, std::move(message));
 }
 
 void MessageBus::sync() {
@@ -73,16 +75,16 @@ void MessageBus::sync() {
     backoff(rounds);
     std::vector<std::uint64_t> ids;
     ids.reserve(pending_posts_.size());
-    for (const auto& [id, post] : pending_posts_) {
+    for (const auto& [id, message] : pending_posts_) {
       ids.push_back(id);
     }
     std::sort(ids.begin(), ids.end());
     for (const std::uint64_t id : ids) {
       const auto it = pending_posts_.find(id);
-      if (it == pending_posts_.end()) continue;  // applied earlier this round
+      if (it == pending_posts_.end()) continue;  // delivered earlier this round
       ++timeouts_;
       // dhtidx-lint: allow(ledger-discipline) "bus-private wire ledger, see record_lost"
-      measured_.timeouts.record(transport_.send(it->second.message));
+      measured_.timeouts.record(transport_.send(it->second));
     }
   }
 }
@@ -94,47 +96,40 @@ void MessageBus::record_lost(const Message& message) {
 
 void MessageBus::on_message(const Message& message, std::uint64_t wire_bytes) {
   // Frames are accounted at send time (the send-side knows the category);
-  // delivery only dispatches. Every leg dedups by request id so adversarial
-  // duplication or retransmission crossings apply at most once.
+  // delivery only answers, acks and dedups. Every leg dedups by request id,
+  // so adversarial duplication or retransmission crossings are answered or
+  // acked at most once.
   const std::uint64_t id = message.request_id;
   if (message.context == Context::kRequest) {
     if (const auto it = in_flight_.find(id); it != in_flight_.end()) {
       InFlight& rpc = it->second;
-      if (!rpc.served) {
-        Message response = (*rpc.server)(message);
-        account(response, transport_.send(response));
-        // Keep the copy after the send (send takes a const ref, so the move
-        // is safe): it only matters for later duplicate requests, which
-        // cannot arrive from inside this send.
-        rpc.served = std::move(response);
+      if (!rpc.answered) {
+        rpc.answered = true;
+        account(rpc.reply, transport_.send(rpc.reply));
       } else {
-        // Duplicate of a request we already served: the peer retransmitted,
-        // so our response leg must have been lost — resend the served
-        // response rather than serving (and mutating state) twice.
+        // Duplicate of a request we already answered: the peer
+        // retransmitted, so our response leg must have been lost — resend
+        // the same reply.
         discard_duplicate(wire_bytes);
         ++timeouts_;
         // dhtidx-lint: allow(ledger-discipline) "bus-private wire ledger, see record_lost"
-        measured_.timeouts.record(transport_.send(*rpc.served));
+        measured_.timeouts.record(transport_.send(rpc.reply));
       }
       return;
     }
     if (const auto post = pending_posts_.find(id); post != pending_posts_.end()) {
-      // Erase before applying so a re-entrant delivery of the same id during
-      // apply() is already classified as a duplicate.
-      Applier apply = std::move(post->second.apply);
       pending_posts_.erase(post);
       unacked_.insert(id);
-      apply(message);
-      Message ack = Message::ack_to(message);
+      const Message ack = Message::ack_to(message);
       account(ack, transport_.send(ack));
       return;
     }
     if (id == 0 || id >= next_request_id_) {
       throw Error{"message bus: request #" + std::to_string(id) +
-                  " has no server or applier"};
+                  " was never sent by this bus"};
     }
     // This bus assigned the id, and it is no longer in flight: the request
-    // was already served or applied.
+    // was already answered or acked.
     discard_duplicate(wire_bytes);
     return;
   }

@@ -1,28 +1,28 @@
 // RPC message bus: pairs requests with responses over any Transport and
 // accounts every frame's serialized size into a measured TrafficLedger.
 //
-// Two interaction shapes:
+// The bus only carries frames. It never calls back into the services: they
+// change and read their own state at the call, then hand it the frames.
 //
-//   * exchange(request, serve) — a request/response round trip. `serve` runs
-//     at the frame's virtual delivery time and builds the response from live
-//     node state.
+//   * exchange(request, reply) — a request/response round trip. The caller
+//     builds the reply from the node's state; the bus sends it when the
+//     request is delivered. Nothing mutates a service while the bus pumps,
+//     so it is the reply the node would build at delivery.
 //
-//   * post(message, apply) — a one-way operation (publish, replicate,
-//     repair, shortcut install). `apply` runs at delivery and the bus sends
-//     a header-only ack back, so one-way traffic still exercises the full
-//     taxonomy. sync() pumps until every posted message has been applied.
+//   * post(message) — a one-way operation (publish, replicate, repair,
+//     shortcut install) the caller has already applied. Its delivery is
+//     acknowledged with a header-only ack, so one-way traffic still exercises
+//     the full taxonomy. sync() pumps until every post has been delivered.
 //
 // Idempotent delivery (wire version 2, PROTOCOL.md §5): request ids come
 // from one bus-wide counter, and the bus keeps state only while an RPC is in
 // flight. Every id below the counter was assigned here, so a request whose
-// id is below it but no longer in flight was already served or applied: a
+// id is below it but no longer in flight was already answered or acked: a
 // duplicated, replayed or retransmission-crossed frame is discarded by its
-// id, and the non-idempotent appliers (publish/remove/replicate/shortcut
-// install) run exactly once per id. When the transport drains without the
-// expected response/ack (an adversarial drop), exchange() and sync()
-// retransmit the original frame under a bounded end-to-end timeout budget
-// (kMaxRetransmits) whose backoff follows kRetryPolicy and is charged to the
-// transport's virtual clock.
+// id. When the transport drains without the expected response/ack (an
+// adversarial drop), exchange() and sync() retransmit the original frame
+// under a bounded end-to-end timeout budget (kMaxRetransmits) whose backoff
+// follows kRetryPolicy and is charged to the transport's virtual clock.
 //
 // The measured ledger mirrors the analytic one kept by the services, but its
 // byte counts come from codec frame sizes instead of the paper's per-message
@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -50,11 +49,6 @@ namespace dhtidx::net {
 
 class MessageBus : public MessageSink {
  public:
-  /// Builds the response for a delivered request.
-  using Server = std::function<Message(const Message&)>;
-  /// Applies a delivered one-way message.
-  using Applier = std::function<void(const Message&)>;
-
   /// End-to-end budget: how many times one frame may be retransmitted before
   /// exchange()/sync() give up. The waits between retransmissions follow
   /// kRetryPolicy's backoff schedule (its attempts_per_replica is not used).
@@ -64,20 +58,19 @@ class MessageBus : public MessageSink {
     transport_.set_sink(this);
   }
 
-  /// Runs one request/response exchange. Assigns the correlation id, sends
-  /// the request, pumps the transport until the response arrives, and
-  /// returns it. Whenever the transport drains idle without the response
-  /// (request or response leg lost), the same frame — same id — is
-  /// retransmitted under the timeout budget; receivers dedup by id, and the
-  /// serve side retransmits its recorded response instead of serving twice.
+  /// Runs one request/response exchange. Assigns the correlation id to both
+  /// legs, sends the request, sends `reply` when the request is delivered
+  /// (and again for each duplicate of it), pumps until the response arrives,
+  /// and returns it. Whenever the transport drains idle without the response,
+  /// the same frame — same id — is retransmitted under the timeout budget.
   /// Throws Error once the budget is exhausted.
-  Message exchange(Message request, const Server& serve);
+  Message exchange(Message request, Message reply);
 
-  /// Sends a one-way message whose effect is `apply`, acknowledged with a
-  /// header-only ack. Delivery happens on a later pump or sync().
-  void post(Message message, Applier apply);
+  /// Sends a one-way message, acknowledged with a header-only ack when it is
+  /// delivered. Delivery happens on a later pump or sync().
+  void post(Message message);
 
-  /// Pumps the transport until idle and every pending post has been applied,
+  /// Pumps the transport until idle and every post has been delivered,
   /// retransmitting undelivered posts (in id order, for determinism) under
   /// the same timeout budget as exchange(). Throws Error once the budget is
   /// exhausted with posts still pending.
@@ -107,24 +100,15 @@ class MessageBus : public MessageSink {
   std::uint64_t duplicates_detected() const { return duplicates_; }
   /// Frames the codec rejected before they reached dispatch.
   std::uint64_t rejected_frames() const { return rejected_; }
-  /// One-way posts sent but not yet applied.
+  /// One-way posts sent but not yet delivered.
   std::size_t pending_posts() const { return pending_posts_.size(); }
 
  private:
   /// One exchange, from its first send until exchange() returns or throws.
   struct InFlight {
-    explicit InFlight(const Server* serve) : server(serve) {}
-    const Server* server;
-    /// The response this bus served, resent when a duplicate request
-    /// arrives, so a lost response leg heals without running `serve` twice.
-    std::optional<Message> served;
-    /// The response leg, once it arrived.
-    std::optional<Message> response;
-  };
-
-  struct PendingPost {
-    Applier apply;
-    Message message;  ///< retained for timeout-driven retransmission
+    Message reply;
+    bool answered = false;
+    std::optional<Message> response;  ///< the response leg, once it arrived
   };
 
   void account(const Message& message, std::uint64_t wire_bytes);
@@ -147,11 +131,10 @@ class MessageBus : public MessageSink {
   std::uint64_t rejected_ = 0;
 
   // The only state keyed by request id, and none of it outlives its RPC.
-  // Server/Applier pointers stay valid because exchange()/sync() pump within
-  // the caller's scope.
   std::unordered_map<std::uint64_t, InFlight> in_flight_;
-  std::unordered_map<std::uint64_t, PendingPost> pending_posts_;
-  // Applied posts whose ack has not arrived yet. The first ack erases its
+  // Undelivered posts, each kept for timeout-driven retransmission.
+  std::unordered_map<std::uint64_t, Message> pending_posts_;
+  // Delivered posts whose ack has not arrived yet. The first ack erases its
   // id, so a later copy finds nothing; only acks lost on the wire stay.
   std::unordered_set<std::uint64_t> unacked_;
 };

@@ -25,9 +25,8 @@
 // phase.
 #pragma once
 
-#include <memory>
-#include <string_view>
-#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "common/thread_annotations.hpp"
 #include "query/query.hpp"
@@ -50,9 +49,16 @@ class QueryInterner {
   /// no Query copy.
   const Query* intern(const Query& q) {
     const Query* existing = find_existing(q);
-    return existing != nullptr ? existing : intern_impl(Query{q});
+    return existing != nullptr ? existing : intern(Query{q});
   }
-  const Query* intern(Query&& q) { return intern_impl(std::move(q)); }
+  const Query* intern(Query&& q) {
+    // Writers run in the serial intern phase (or a single-threaded cell): the
+    // capability is structural, asserted rather than locked.
+    intern_phase_.assert_exclusive();
+    const auto [it, inserted] = pool_.insert(std::move(q));
+    if (inserted) it->key();  // pre-warm: interned queries never race on the lazy key
+    return &*it;
+  }
 
   /// The canonical instance equal to `q` when one exists, nullptr otherwise.
   /// Probe-only: never grows the pool (lookups of absent queries must not
@@ -60,8 +66,8 @@ class QueryInterner {
   /// while the pool is frozen between serial intern sub-phases.
   const Query* find_existing(const Query& q) const {
     intern_phase_.assert_shared();  // reads are safe: pool frozen outside the serial phase
-    const auto it = pool_.find(std::string_view{q.canonical()});
-    return it == pool_.end() ? nullptr : it->second.get();
+    const auto it = pool_.find(q);
+    return it == pool_.end() ? nullptr : &*it;
   }
 
   /// Number of distinct queries interned.
@@ -71,19 +77,16 @@ class QueryInterner {
   }
 
  private:
-  const Query* intern_impl(Query&& q);
-
   /// The serial-intern-phase contract as a capability: the pool only grows
   /// while exactly one thread runs intern (single-threaded cells trivially;
   /// the sharded build's driver between produce barriers), and is read-only
   /// frozen whenever workers run concurrently.
   PhaseCapability intern_phase_;
 
-  // Keys are views into each stored query's canonical string, which is
-  // immutable (and heap-stable) once the query is interned.
-  // dhtidx-lint: allow(hot-path-map) "hash arena keyed by canonical form; iteration order is never observed, so determinism is unaffected"
-  std::unordered_map<std::string_view, std::unique_ptr<const Query>> pool_
-      DHTIDX_GUARDED_BY(intern_phase_);
+  // One node per query, hashed and compared by canonical form. Nodes never
+  // move, so refs stay valid across rehashes; iteration order is never
+  // observed, so determinism is unaffected.
+  std::unordered_set<Query, QueryHasher> pool_ DHTIDX_GUARDED_BY(intern_phase_);
 };
 
 }  // namespace dhtidx::query

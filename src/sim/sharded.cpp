@@ -364,10 +364,20 @@ void FeedTotals::merge(const FeedTotals& other) {
   ledger.merge(other.ledger);
 }
 
+std::size_t shard_count(std::size_t shards, std::size_t nodes) {
+  const std::size_t count = std::max<std::size_t>(shards, 1);
+  if (count > std::min(nodes, kMaxShards)) {
+    throw InvariantError("shards = " + std::to_string(count) + " exceeds the node count (" +
+                         std::to_string(nodes) + ") or kMaxShards (" +
+                         std::to_string(kMaxShards) + ")");
+  }
+  return count;
+}
+
 template <typename Articles>
 void build_world(const SimulationConfig& config, dht::Dht& dht, index::IndexService& service,
                  storage::DhtStore& store, const Articles& articles) {
-  const std::size_t shards = std::max<std::size_t>(config.shards, 1);
+  const std::size_t shards = shard_count(config.shards, dht.size());
   if (shards > 1 && (service.bus() != nullptr || store.bus() != nullptr)) {
     throw InvariantError("a build with a message bus runs on one shard");
   }
@@ -480,7 +490,7 @@ FeedTotals feed_world(const SimulationConfig& config, dht::Dht& dht,
                       index::IndexService& service, storage::DhtStore& store,
                       const RequestSource& request_at, const EpochEvents& at_epoch_start,
                       std::size_t first, std::size_t last) {
-  const std::size_t shards = std::max<std::size_t>(config.shards, 1);
+  const std::size_t shards = shard_count(config.shards, dht.size());
   const std::size_t epoch = feed_epoch(config);
   // At epoch length 1 each engine's own ImmediateCacheApply applies a delta
   // when the session reports it. Longer epochs read the caches as a frozen

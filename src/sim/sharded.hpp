@@ -40,7 +40,8 @@
 //
 // run_simulation rejects (InvariantError) a streaming world with a non-Ring
 // substrate, a wire layer (MessageBus is single-threaded), churn, chaos or a
-// shared corpus, and shards > 1 without a streaming world.
+// shared corpus, shards > 1 without a streaming world, and more shards than
+// nodes or kMaxShards.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +58,15 @@
 #include "workload/streaming.hpp"
 
 namespace dhtidx::sim {
+
+/// The most shards a world may use: S shards are S threads per phase and S²
+/// queues (DESIGN.md section 12).
+inline constexpr std::size_t kMaxShards = 256;
+
+/// `shards` as the engine runs it (0 means 1). Throws InvariantError above
+/// `nodes` (a shard owns nodes) or kMaxShards; run_simulation, build_world
+/// and feed_world call it before any queue or thread exists.
+std::size_t shard_count(std::size_t shards, std::size_t nodes);
 
 /// The one build: the full index and record store of a world from its
 /// articles, a biblio::Corpus or a biblio::ArticleStream (instantiated for

@@ -107,6 +107,7 @@ void check_config(const SimulationConfig& config, const biblio::Corpus* shared_c
   if (config.shards > 1 && !config.streaming) {
     throw InvariantError("shards > 1 requires a streaming world (config.streaming)");
   }
+  shard_count(config.shards, config.nodes);
   if (!config.streaming) return;
   if (shared_corpus != nullptr) {
     throw InvariantError(

@@ -44,9 +44,7 @@ StoreResult DhtStore::put(const Id& key, const Record& record) {
 
 void DhtStore::place(const Id& node, const Id& key, const Record& record,
                      net::Action action) {
-  if (bus_ != nullptr) {
-    bus_->post(wire_message(action, node, key, &record), [](const net::Message&) {});
-  }
+  if (bus_ != nullptr) bus_->post(wire_message(action, node, key, &record));
   NodeStore* store = find_node_store(node);
   if (store == nullptr) store = &node_store(node);
   store->put(key, record);
@@ -75,20 +73,17 @@ DhtStore::GetResult DhtStore::get(const Id& key) {
     if (!delivered) continue;
     ++contacted;
     net::active(ledger_).queries.record(request_bytes);
-    if (bus_ != nullptr) {
-      // Serve the fetch from the replica's live store at delivery time.
-      bus_->exchange(std::move(wire), [&](const net::Message& m) {
-        net::Message response = net::Message::response_to(m);
-        const std::vector<Record>& held = records_at(m.to, key);
-        for (const Record& r : held) {
-          response.payload.push_back(r.kind);
-          response.payload.push_back(r.payload);
-        }
-        if (held.empty()) response.status = net::Status::kNotFound;
-        return response;
-      });
-    }
     const std::vector<Record>& records = records_at(replica, key);
+    if (bus_ != nullptr) {
+      // The replica answers the fetch from the records the result reads.
+      net::Message reply = net::Message::response_to(wire);
+      for (const Record& r : records) {
+        reply.payload.push_back(r.kind);
+        reply.payload.push_back(r.payload);
+      }
+      if (records.empty()) reply.status = net::Status::kNotFound;
+      bus_->exchange(std::move(wire), std::move(reply));
+    }
     result.node = replica;
     found = &records;
     if (!records.empty()) break;
@@ -123,13 +118,10 @@ DhtStore::RemoveResult DhtStore::remove(const Id& key, const Record& record) {
       result.removed = removed_here || result.removed;
     }
     if (bus_ != nullptr) {
-      bus_->exchange(wire_message(net::Action::kRemove, replica, key, &record),
-                     [&](const net::Message& m) {
-                       net::Message response = net::Message::response_to(m);
-                       response.status =
-                           removed_here ? net::Status::kOk : net::Status::kNotFound;
-                       return response;
-                     });
+      net::Message request = wire_message(net::Action::kRemove, replica, key, &record);
+      net::Message reply = net::Message::response_to(request);
+      reply.status = removed_here ? net::Status::kOk : net::Status::kNotFound;
+      bus_->exchange(std::move(request), std::move(reply));
     }
   }
   return result;
@@ -139,12 +131,17 @@ std::size_t DhtStore::ensure(const Id& key, const Record& record) {
   topology_.assert_exclusive();  // republish may re-create a node's store
   std::size_t created = 0;
   for (const Id& replica : dht::write_nodes(dht_, key, replication_, failures_)) {
-    const std::vector<Record>& existing = records_at(replica, key);
-    if (std::find(existing.begin(), existing.end(), record) != existing.end()) continue;
-    place(replica, key, record, net::Action::kReplicate);
-    ++created;
+    if (place_missing(replica, key, record, net::Action::kReplicate)) ++created;
   }
   return created;
+}
+
+bool DhtStore::place_missing(const Id& node, const Id& key, const Record& record,
+                             net::Action action) {
+  const std::vector<Record>& held = records_at(node, key);
+  if (std::find(held.begin(), held.end(), record) != held.end()) return false;
+  place(node, key, record, action);
+  return true;
 }
 
 bool DhtStore::has_record(const Id& key) {
@@ -199,10 +196,7 @@ std::size_t DhtStore::rebalance() {
     source.erase(key);
     for (const Record& r : records) {
       // The primary may already hold a replica of this record.
-      const std::vector<Record>& existing = records_at(to, key);
-      if (std::find(existing.begin(), existing.end(), r) != existing.end()) continue;
-      place(to, key, r, net::Action::kRepair);
-      ++moved;
+      if (place_missing(to, key, r, net::Action::kRepair)) ++moved;
     }
   }
   if (bus_ != nullptr) bus_->sync();
@@ -232,10 +226,7 @@ std::size_t DhtStore::rebalance() {
     }
     for (const Copy& copy : copies) {
       // Re-check: an earlier copy in this batch may have filled the gap.
-      const std::vector<Record>& existing = records_at(copy.node, copy.key);
-      if (std::find(existing.begin(), existing.end(), copy.record) != existing.end()) continue;
-      place(copy.node, copy.key, copy.record, net::Action::kRepair);
-      ++moved;
+      if (place_missing(copy.node, copy.key, copy.record, net::Action::kRepair)) ++moved;
     }
     if (bus_ != nullptr) bus_->sync();
   }

@@ -121,7 +121,9 @@ class DhtStore {
   /// Routes store/fetch/remove/replicate/repair RPCs through a message bus
   /// (see IndexService::set_bus): each operation additionally travels as a
   /// typed net::Message whose serialized size lands in the bus's measured
-  /// ledger. nullptr (the default) keeps pure in-process behaviour.
+  /// ledger. Each operation changes and reads the stores at the call, then
+  /// hands the bus the frames, the fetch and remove replies included.
+  /// nullptr (the default) keeps pure in-process behaviour.
   void set_bus(net::MessageBus* bus) { bus_ = bus; }
   net::MessageBus* bus() const { return bus_; }
 
@@ -136,6 +138,11 @@ class DhtStore {
   /// record's kind and payload) from the client to `node`.
   net::Message wire_message(net::Action action, const Id& node, const Id& key,
                             const Record* record) const;
+
+  /// place() unless `node` already holds `record` under `key` (ensure() and
+  /// both rebalance() passes). Returns whether it placed.
+  bool place_missing(const Id& node, const Id& key, const Record& record,
+                     net::Action action);
 
   /// Records under `key` on `node` without creating the node's store.
   const std::vector<Record>& records_at(const Id& node, const Id& key) const;

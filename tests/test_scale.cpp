@@ -304,6 +304,43 @@ TEST(ShardedSimulation, RejectsUnsupportedConfigurations) {
   EXPECT_THROW(run_simulation(streaming_config(1), &corpus), InvariantError);
 }
 
+TEST(ShardedSimulation, RejectsMoreShardsThanNodes) {
+  // A shard owns nodes, so a world has at most one shard per member. The
+  // check runs before any queue or worker thread exists, in run_simulation and
+  // in both entry points that tests and benchmarks call directly.
+  SimulationConfig config = streaming_config(9);
+  config.nodes = 8;
+  EXPECT_THROW(run_simulation(config), InvariantError);
+
+  dht::Ring ring = dht::Ring::with_nodes(config.nodes);
+  net::TrafficLedger ledger;
+  storage::DhtStore store{ring, ledger};
+  index::IndexService service{ring, ledger};
+  const biblio::ArticleStream stream{config.corpus};
+  EXPECT_THROW(build_streaming_world(config, ring, service, store, stream), InvariantError);
+  const workload::StreamingWorkload workload{stream, config.seed};
+  EXPECT_THROW(feed_streaming_world(config, ring, service, store, workload), InvariantError);
+  EXPECT_EQ(service.totals().mappings, 0u);
+}
+
+TEST(ShardedSimulation, RejectsMoreShardsThanTheLimit) {
+  // Enough nodes for every shard: the fixed limit alone rejects.
+  SimulationConfig config = streaming_config(kMaxShards + 1);
+  config.nodes = kMaxShards + 8;
+  EXPECT_THROW(run_simulation(config), InvariantError);
+
+  dht::Ring ring = dht::Ring::with_nodes(config.nodes);
+  net::TrafficLedger ledger;
+  storage::DhtStore store{ring, ledger};
+  index::IndexService service{ring, ledger};
+  const biblio::ArticleStream stream{config.corpus};
+  EXPECT_THROW(build_streaming_world(config, ring, service, store, stream), InvariantError);
+  const workload::StreamingWorkload workload{stream, config.seed};
+  EXPECT_THROW(feed_streaming_world(config, ring, service, store, workload), InvariantError);
+  EXPECT_EQ(shard_count(kMaxShards, config.nodes), kMaxShards);
+  EXPECT_EQ(shard_count(0, 1), 1u);
+}
+
 TEST(PeakRss, ReportsAPlausibleWatermark) {
   const std::uint64_t watermark = peak_rss_bytes();
 #if defined(__unix__) || defined(__APPLE__)

@@ -324,17 +324,20 @@ TEST(EventQueueTransport, ReentrantSendDuringDeliveryIsSafe) {
 
 // --- Message bus ------------------------------------------------------------
 
+/// Runs `request` through the bus, answered with an empty reply.
+Message round_trip(MessageBus& bus, const Message& request) {
+  return bus.exchange(request, Message::response_to(request));
+}
+
 TEST(MessageBus, ExchangeRoundTripsAndAccountsBothLegs) {
   EventQueueTransport transport;
   MessageBus bus{transport};
 
   Message request = Message::request(Action::kLookup, Id{}, Id::hash("server"));
   request.payload = {"/author[@name='Smith']"};
-  const Message response = bus.exchange(request, [](const Message& req) {
-    Message r = Message::response_to(req);
-    r.payload = {"result"};
-    return r;
-  });
+  Message reply = Message::response_to(request);
+  reply.payload = {"result"};
+  const Message response = bus.exchange(request, reply);
 
   EXPECT_EQ(response.context, Context::kResponse);
   EXPECT_EQ(response.action, Action::kLookup);
@@ -354,9 +357,7 @@ TEST(MessageBus, ExchangeWorksOverTheEventQueue) {
   EventQueueTransport transport;
   MessageBus bus{transport};
   Message request = Message::request(Action::kFetch, Id{}, Id::hash("node"));
-  const Message response = bus.exchange(request, [](const Message& req) {
-    return Message::response_to(req);
-  });
+  const Message response = round_trip(bus, request);
   EXPECT_EQ(response.context, Context::kResponse);
   EXPECT_GT(transport.clock_ms(), 0.0);
 }
@@ -365,12 +366,13 @@ TEST(MessageBus, PostAppliesAtDeliveryAndAcksUnderRouting) {
   EventQueueTransport transport;
   MessageBus bus{transport};
 
-  int applied = 0;
   Message publish = Message::request(Action::kPublish, Id::hash("a"), Id::hash("b"));
-  bus.post(publish, [&](const Message&) { ++applied; });
-  EXPECT_EQ(applied, 0);  // deferred until the frame is delivered
+  bus.post(publish);
+  // No ack until the frame is delivered.
+  EXPECT_EQ(bus.measured().routing.messages(), 0u);
+  EXPECT_EQ(bus.pending_posts(), 1u);
   bus.sync();
-  EXPECT_EQ(applied, 1);
+  EXPECT_EQ(bus.pending_posts(), 0u);
   EXPECT_EQ(bus.posts(), 1u);
 
   const TrafficLedger& m = bus.measured();
@@ -382,14 +384,12 @@ TEST(MessageBus, PostAppliesAtDeliveryAndAcksUnderRouting) {
 TEST(MessageBus, CategoriesAreExclusivePerAction) {
   EventQueueTransport transport;
   MessageBus bus{transport};
-  const auto respond = [](const Message& req) { return Message::response_to(req); };
-  const auto noop = [](const Message&) {};
 
-  bus.exchange(Message::request(Action::kLookup, Id{}, Id::hash("n")), respond);
-  bus.exchange(Message::request(Action::kPing, Id{}, Id::hash("n")), respond);
-  bus.post(Message::request(Action::kShortcut, Id::hash("n"), Id::hash("m")), noop);
-  bus.post(Message::request(Action::kReplicate, Id::hash("n"), Id::hash("m")), noop);
-  bus.post(Message::request(Action::kStore, Id{}, Id::hash("n")), noop);
+  round_trip(bus, Message::request(Action::kLookup, Id{}, Id::hash("n")));
+  round_trip(bus, Message::request(Action::kPing, Id{}, Id::hash("n")));
+  bus.post(Message::request(Action::kShortcut, Id::hash("n"), Id::hash("m")));
+  bus.post(Message::request(Action::kReplicate, Id::hash("n"), Id::hash("m")));
+  bus.post(Message::request(Action::kStore, Id{}, Id::hash("n")));
   bus.sync();
 
   const TrafficLedger& m = bus.measured();
@@ -425,9 +425,8 @@ TEST(MessageBus, RecordLostChargesRetriesOnly) {
 
 TEST(MessageBus, DrainedTransportWithoutResponseThrows) {
   Message orphan = Message::request(Action::kLookup, Id{}, Id::hash("gone"));
-  // Server that eats the request without responding is impossible through
-  // exchange() -- it always sends some response -- so emulate a lost reply by
-  // using a transport that drops everything.
+  // A delivered request is always answered, so emulate a lost reply by using
+  // a transport that drops everything.
   struct DropTransport : Transport {
     const char* name() const override { return "drop"; }
     std::uint64_t send(const Message& m) override { return codec::encoded_size(m); }
@@ -435,10 +434,7 @@ TEST(MessageBus, DrainedTransportWithoutResponseThrows) {
     bool idle() const override { return true; }
   } dropper;
   MessageBus lossy{dropper};
-  EXPECT_THROW(lossy.exchange(orphan, [](const Message& req) {
-    return Message::response_to(req);
-  }),
-               Error);
+  EXPECT_THROW(round_trip(lossy, orphan), Error);
 }
 
 // --- Message bus dedup (PROTOCOL.md §5) ---------------------------------------
@@ -447,8 +443,7 @@ TEST(MessageBus, RequestWithAnIdTheBusNeverAssignedThrows) {
   EventQueueTransport transport;
   MessageBus bus{transport};
   const Message response =
-      bus.exchange(Message::request(Action::kLookup, Id{}, Id::hash("n")),
-                   [](const Message& req) { return Message::response_to(req); });
+      round_trip(bus, Message::request(Action::kLookup, Id{}, Id::hash("n")));
 
   Message stray = Message::request(Action::kLookup, Id{}, Id::hash("n"));
   stray.request_id = 0;
@@ -461,17 +456,14 @@ TEST(MessageBus, RequestWithAnIdTheBusNeverAssignedThrows) {
 TEST(MessageBus, LateCopyOfAFinishedExchangesRequestIsADuplicate) {
   EventQueueTransport transport;
   MessageBus bus{transport};
-  int served = 0;
-  const MessageBus::Server serve = [&served](const Message& req) {
-    ++served;
-    return Message::response_to(req);
-  };
+  // First answers are charged to `responses`; a resent reply would be a
+  // timeout.
   Message request = Message::request(Action::kLookup, Id{}, Id::hash("n"));
-  request.request_id = bus.exchange(request, serve).request_id;
-  ASSERT_EQ(served, 1);
+  request.request_id = round_trip(bus, request).request_id;
+  ASSERT_EQ(bus.measured().responses.messages(), 1u);
 
   bus.on_message(request, codec::encoded_size(request));
-  EXPECT_EQ(served, 1);  // not served again
+  EXPECT_EQ(bus.measured().responses.messages(), 1u);  // not answered again
   EXPECT_EQ(bus.duplicates_detected(), 1u);
   EXPECT_EQ(bus.measured().duplicates.messages(), 1u);
   EXPECT_EQ(bus.timeouts(), 0u);  // the exchange is over: no response is resent
@@ -480,7 +472,7 @@ TEST(MessageBus, LateCopyOfAFinishedExchangesRequestIsADuplicate) {
 
 TEST(MessageBus, StateStaysFlatOverAHundredThousandRpcs) {
   // The bus remembers nothing of a finished RPC: an id below its counter
-  // that is no longer in flight was already served or applied. So once its
+  // that is no longer in flight was already answered or acked. So once its
   // tables have their working size, more traffic holds no more heap.
   if (heap_in_use_bytes() == 0) GTEST_SKIP() << "no heap reading on this platform";
   EventQueueTransport transport;
@@ -489,9 +481,8 @@ TEST(MessageBus, StateStaysFlatOverAHundredThousandRpcs) {
   const Id home = Id::hash("home");
   const auto rpcs = [&](int count) {
     for (int i = 0; i < count; ++i) {
-      bus.exchange(Message::request(Action::kLookup, Id{}, server),
-                   [](const Message& req) { return Message::response_to(req); });
-      bus.post(Message::request(Action::kPublish, server, home), [](const Message&) {});
+      round_trip(bus, Message::request(Action::kLookup, Id{}, server));
+      bus.post(Message::request(Action::kPublish, server, home));
     }
     bus.sync();
   };
