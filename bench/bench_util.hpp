@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/strings.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sweep.hpp"
 
@@ -22,6 +24,7 @@ namespace dhtidx::bench {
 struct BenchOptions {
   std::size_t jobs = 0;    ///< worker threads for sweeps; 0 = hardware concurrency
   std::size_t shards = 0;  ///< >0: run cells as streaming worlds with N shards
+  const char* program = "";  ///< argv[0], for error messages
 };
 
 /// The one command-line count parser of the bench binaries: digits only
@@ -44,6 +47,7 @@ inline std::size_t parse_count(const char* argv0, const std::string& flag, const
 /// Exits on unknown arguments.
 inline BenchOptions parse_options(int argc, char** argv, const char* cannot_stream = nullptr) {
   BenchOptions options;
+  options.program = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -93,17 +97,31 @@ inline BenchOptions parse_options(int argc, char** argv, const char* cannot_stre
   return options;
 }
 
+/// Exits 2 with `<program>: --shards: <reason>` unless a world of `nodes`
+/// nodes can run `shards` shards (sim::shard_count's rule). Call it before
+/// any queue or thread exists.
+inline void check_shards(const char* program, std::size_t shards, std::size_t nodes) {
+  try {
+    sim::shard_count(shards, nodes);
+  } catch (const InvariantError& e) {
+    std::fprintf(stderr, "%s: --shards: %s\n", program, e.what());
+    std::exit(2);
+  }
+}
+
 /// Applies `--shards N`: switches every cell to the streaming world with N
-/// shard workers (shards == 0 leaves the cells untouched). Returns the
-/// corpus pointer to hand to run_cells — nullptr for streaming runs, which
-/// synthesize their own corpus from the cell's corpus parameters; the
-/// streamed universe is golden-separate from the materialized one, but
-/// bit-identical across every N (and every --jobs).
+/// shard workers (shards == 0 leaves the cells untouched), after checking
+/// that every cell can run N shards. Returns the corpus pointer to hand to
+/// run_cells — nullptr for streaming runs, which synthesize their own corpus
+/// from the cell's corpus parameters; the streamed universe is
+/// golden-separate from the materialized one, but bit-identical across every
+/// N (and every --jobs).
 inline const biblio::Corpus* apply_shards(std::vector<sim::SimulationConfig>& cells,
                                           const biblio::Corpus* corpus,
                                           const BenchOptions& options) {
   if (options.shards == 0) return corpus;
   for (sim::SimulationConfig& cell : cells) {
+    check_shards(options.program, options.shards, cell.nodes);
     cell.streaming = true;
     cell.shards = options.shards;
   }

@@ -392,11 +392,11 @@ void BM_ResolveAuthorQuery(benchmark::State& state) {
 BENCHMARK(BM_ResolveAuthorQuery);
 
 // Hop selection over a long posting list: one key with 1,000 targets that do
-// not cover the wanted MSD and three that do (the list of the lookup test
-// HopSelectionOverLongListMatchesCoversScan). One session per iteration:
-// contact the key and pick the next hop from its 1,003 targets, contact
-// that hop, fetch the file.
-void BM_SelectHop(benchmark::State& state) {
+// not cover the wanted MSD, `miss(source, i)` for i < 1,000, and three that
+// do. One session per iteration: contact the key and pick the next hop from
+// its 1,003 targets, contact that hop, fetch the file.
+void select_hop(benchmark::State& state,
+                query::Query (*miss)(const query::Query& source, int i)) {
   net::TrafficLedger ledger;
   dht::Ring ring = dht::Ring::with_nodes(25);
   storage::DhtStore store{ring, ledger};
@@ -411,15 +411,7 @@ void BM_SelectHop(benchmark::State& state) {
   service.insert(source, hops[0]);
   for (int i = 0; i < 1000; ++i) {
     if (i == 500) service.insert(source, hops[1]);
-    query::Query t = source;
-    const std::string n = std::to_string(i);
-    switch (i % 4) {
-      case 0: t.add_field("title", "Paper " + n); break;
-      case 1: t.add_field("year", std::to_string(2000 + i)); break;
-      case 2: t.add_prefix("title", "P" + n); break;
-      default: t.add_field("author/last", "Doe" + n).add_field("year", "1996"); break;
-    }
-    service.insert(source, t);
+    service.insert(source, miss(source, i));
   }
   service.insert(source, hops[2]);
   for (const query::Query& hop : hops) service.insert(hop, msd);
@@ -429,7 +421,42 @@ void BM_SelectHop(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.resolve(source, msd));
   }
 }
+
+// The list of the lookup test HopSelectionOverLongListMatchesCoversScan: a
+// quarter of the misses differ from the MSD only by a prefix constraint,
+// which adds no signature bits, so those 250 reach covers() whatever the
+// filter does.
+void BM_SelectHop(benchmark::State& state) {
+  select_hop(state, [](const query::Query& source, int i) {
+    query::Query t = source;
+    const std::string n = std::to_string(i);
+    switch (i % 4) {
+      case 0: t.add_field("title", "Paper " + n); break;
+      case 1: t.add_field("year", std::to_string(2000 + i)); break;
+      case 2: t.add_prefix("title", "P" + n); break;
+      default: t.add_field("author/last", "Doe" + n).add_field("year", "1996"); break;
+    }
+    return t;
+  });
+}
 BENCHMARK(BM_SelectHop);
+
+// The scan-10x shape: every miss differs from the MSD in one exact
+// constraint, so only the signature filter's false positives reach covers().
+void BM_SelectHopExactList(benchmark::State& state) {
+  select_hop(state, [](const query::Query& source, int i) {
+    query::Query t = source;
+    const std::string n = std::to_string(i);
+    switch (i % 4) {
+      case 0: t.add_field("title", "Paper " + n); break;
+      case 1: t.add_field("year", std::to_string(2000 + i)); break;
+      case 2: t.add_field("author/first", "Bo" + n).add_field("year", "1996"); break;
+      default: t.add_field("author/last", "Doe" + n).add_field("year", "1996"); break;
+    }
+    return t;
+  });
+}
+BENCHMARK(BM_SelectHopExactList);
 
 // A session that hits a large shortcut bucket: one source query with 1,000
 // shortcuts, inserted directly into its node's single cache. Iteration i

@@ -54,6 +54,11 @@ struct Options {
   std::size_t shards = 2;
 };
 
+/// Nodes of the --smoke world and of the full ladder's smallest cell: every
+/// cell must be able to run the shard count (sim::shard_count).
+constexpr std::size_t kSmokeNodes = 64;
+constexpr std::size_t kPaperNodes = 500;
+
 Options parse(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
@@ -94,6 +99,7 @@ Options parse(int argc, char** argv) {
     std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n", argv[0], arg.c_str());
     std::exit(2);
   }
+  check_shards(argv[0], options.shards, options.smoke ? kSmokeNodes : kPaperNodes);
   return options;
 }
 
@@ -255,7 +261,7 @@ std::vector<std::string> diff_results(const sim::SimulationResults& a,
 int run_smoke(const Options& options) {
   banner("Scale frontier --smoke: sharding bit-identity guard");
   const std::size_t shards = std::max<std::size_t>(2, options.shards);
-  sim::SimulationConfig base = streaming_cell(64, 500, 2000, 1);
+  sim::SimulationConfig base = streaming_cell(kSmokeNodes, 500, 2000, 1);
   base.corpus.authors = 150;
   base.corpus.conferences = 12;
 
@@ -309,7 +315,7 @@ int main(int argc, char** argv) {
   // the RSS watermark of each cell then upper-bounds that cell alone. The
   // caching twins measure the epoch-based shard-parallel feed at scale.
   cells.push_back(run_cell("frontier", "paper (500/10k/50k)",
-                           streaming_cell(500, 10000, 50000, options.shards)));
+                           streaming_cell(kPaperNodes, 10000, 50000, options.shards)));
   cells.push_back(run_cell("frontier", "10x (5k/100k/500k)",
                            streaming_cell(5000, 100000, 500000, options.shards)));
   {

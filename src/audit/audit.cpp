@@ -34,7 +34,8 @@ std::string record_fact(const Id& key, const storage::Record& record) {
 std::vector<std::string> mapping_facts(const index::IndexService& service) {
   std::vector<std::string> facts;
   for (const auto& [node, state] : service.states()) {
-    for (const auto& [source, targets, bytes] : state.entries()) {
+    for (const auto* entry : state.entries()) {
+      const auto& [source, targets, bytes] = *entry;
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         facts.push_back(mapping_fact(source->canonical(), ref.target->canonical()));
       }
@@ -137,7 +138,8 @@ const std::vector<Auditor::StoredMsd>& Auditor::stored_msds() {
 void Auditor::check_covering(Report& report) {
   SectionStats& section = report.section(Invariant::kCovering);
   for (const auto& [node, state] : service_.states()) {
-    for (const auto& [source, targets, bytes] : state.entries()) {
+    for (const auto* entry : state.entries()) {
+      const auto& [source, targets, bytes] = *entry;
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         ++section.checked;
         if (!source->covers(*ref.target)) {
@@ -227,7 +229,8 @@ void Auditor::check_acyclicity(Report& report) {
   SectionStats& section = report.section(Invariant::kAcyclicity);
   std::map<std::string, std::vector<std::string>> graph;
   for (const auto& [node, state] : service_.states()) {
-    for (const auto& [source, targets, bytes] : state.entries()) {
+    for (const auto* entry : state.entries()) {
+      const auto& [source, targets, bytes] = *entry;
       auto& out = graph[source->canonical()];
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         ++section.checked;
@@ -277,7 +280,8 @@ void Auditor::check_placement(Report& report) {
   // memoize by canonical source so chord runs do not re-route per mapping.
   std::unordered_map<std::string, std::vector<Id>> replica_memo;
   for (const auto& [node, state] : service_.states()) {
-    for (const auto& [source, targets, bytes] : state.entries()) {
+    for (const auto* entry : state.entries()) {
+      const auto& [source, targets, bytes] = *entry;
       ++section.checked;
       const std::string& canonical = source->canonical();
       auto memo = replica_memo.find(canonical);
@@ -468,7 +472,8 @@ void Auditor::check_replica_consistency(Report& report) {
   };
   std::map<std::string, Fact> facts;
   for (const auto& [node, state] : service_.states()) {
-    for (const auto& [source, targets, bytes] : state.entries()) {
+    for (const auto* entry : state.entries()) {
+      const auto& [source, targets, bytes] = *entry;
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         facts.emplace(mapping_fact(source->canonical(), ref.target->canonical()),
                       Fact{source, ref.target});

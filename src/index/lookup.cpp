@@ -77,12 +77,11 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
         ledger.cache.record(net::kMessageOverheadBytes);  // invalidation notice
         if (net::MessageBus* bus = service_.bus(); bus != nullptr) {
           // Wire record of the invalidation: a shortcut message with
-          // kNotFound status drops the entry (PROTOCOL.md).
-          net::Message notice =
-              net::Message::request(net::Action::kShortcut, Id{}, jumped_from->first);
+          // kNotFound status drops the entry (PROTOCOL.md). A jump lands
+          // only on a pooled MSD.
+          net::Message notice = service_.wire_mapping(net::Action::kShortcut, jumped_from->first,
+                                                      jumped_from->second, msd);
           notice.status = net::Status::kNotFound;
-          notice.payload.push_back(jumped_from->second->canonical());
-          notice.payload.push_back(target_msd.canonical());
           bus->post(std::move(notice));
         }
         recorder_->record(CacheDeltaKind::kInvalidate, jumped_from->first,
@@ -99,7 +98,10 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
       break;
     }
 
-    const auto contact = service_.contact(*q, caching_enabled(config_.policy));
+    // The pool cannot grow while the walk runs, so `pooled ? q : nullptr` is
+    // what find_existing(*q) would return.
+    const auto contact =
+        service_.contact(*q, pooled ? q : nullptr, caching_enabled(config_.policy));
     outcome.rpc_failures += contact.rpc_failures;
     ++outcome.interactions;
     outcome.visited_nodes.push_back(contact.node);
@@ -265,10 +267,7 @@ void apply_cache_delta(IndexService& service, const Id& node, IndexNodeState& st
       service.active_ledger().cache.record(source->byte_size() + target->byte_size() +
                                            net::kMessageOverheadBytes);
       if (net::MessageBus* bus = service.bus(); bus != nullptr) {
-        net::Message install = net::Message::request(net::Action::kShortcut, Id{}, node);
-        install.payload.push_back(source->canonical());
-        install.payload.push_back(target->canonical());
-        bus->post(std::move(install));
+        bus->post(service.wire_mapping(net::Action::kShortcut, node, source, target));
       }
       return;
     case CacheDeltaKind::kInvalidate:

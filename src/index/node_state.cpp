@@ -1,7 +1,7 @@
 #include "index/node_state.hpp"
 
 #include <algorithm>
-#include <string>
+#include <functional>
 
 namespace dhtidx::index {
 
@@ -10,25 +10,31 @@ const IndexNodeState::SourceEntry kNoEntry{nullptr, {}};
 }
 
 std::vector<IndexNodeState::SourceEntry>::iterator IndexNodeState::lower_bound(
-    const std::string& canonical) {
-  return std::lower_bound(entries_.begin(), entries_.end(), canonical,
-                          [](const SourceEntry& entry, const std::string& c) {
-                            return entry.source->canonical() < c;
-                          });
+    const query::Query* source) {
+  return std::ranges::lower_bound(entries_, source, std::less<const query::Query*>{},
+                                  &SourceEntry::source);
 }
 
 std::vector<IndexNodeState::SourceEntry>::const_iterator IndexNodeState::find_entry(
     const query::Query* source) const {
-  const auto it = std::lower_bound(entries_.begin(), entries_.end(), source->canonical(),
-                                   [](const SourceEntry& entry, const std::string& c) {
-                                     return entry.source->canonical() < c;
-                                   });
+  const auto it = std::ranges::lower_bound(entries_, source, std::less<const query::Query*>{},
+                                           &SourceEntry::source);
   if (it == entries_.end() || it->source != source) return entries_.end();
   return it;
 }
 
+std::vector<const IndexNodeState::SourceEntry*> IndexNodeState::entries() const {
+  std::vector<const SourceEntry*> view;
+  view.reserve(entries_.size());
+  for (const SourceEntry& entry : entries_) view.push_back(&entry);
+  std::sort(view.begin(), view.end(), [](const SourceEntry* a, const SourceEntry* b) {
+    return a->source->canonical() < b->source->canonical();
+  });
+  return view;
+}
+
 bool IndexNodeState::add(const query::Query* s, const query::Query* t, std::uint64_t now) {
-  auto it = lower_bound(s->canonical());
+  auto it = lower_bound(s);
   const bool inserted = it == entries_.end() || it->source != s;
   if (inserted) {
     it = entries_.insert(it, SourceEntry{s, {}});
@@ -51,6 +57,8 @@ bool IndexNodeState::add(const query::Query* s, const query::Query* t, std::uint
 
 std::size_t IndexNodeState::expire_older_than(std::uint64_t cutoff) {
   // Collect stale (source, target) pairs first; removal mutates entries_.
+  // Storage order is pool-ref order, but neither the count nor what is left
+  // depends on the order of the removals.
   std::vector<std::pair<const query::Query*, const query::Query*>> stale;
   for (const SourceEntry& entry : entries_) {
     for (const TargetRef& ref : entry.targets) {
@@ -87,7 +95,7 @@ bool IndexNodeState::has_source(const query::Query* source) const {
 bool IndexNodeState::remove(const query::Query* source, const query::Query* target,
                             bool& source_now_empty) {
   source_now_empty = false;
-  const auto it = lower_bound(source->canonical());
+  const auto it = lower_bound(source);
   if (it == entries_.end() || it->source != source) return false;
   auto& targets = it->targets;
   const auto pos = std::find_if(targets.begin(), targets.end(), [target](const TargetRef& r) {

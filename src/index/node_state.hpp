@@ -2,11 +2,14 @@
 // cache. Section IV: "Each node should maintain an index, which essentially
 // consists of query-to-query mappings."
 //
-// Storage is a flat vector of source entries kept sorted by canonical form --
-// the same iteration order the previous std::map<std::string, ...> layout
-// produced, so sweep results stay bit-identical -- with each mapping's
-// refresh stamp stored inline next to its target instead of in a separate
-// string-concatenation-keyed map. Queries are `const Query*` refs into the
+// Storage is a flat vector of source entries kept sorted by pool ref (the
+// source's address), so a probe compares pointers and reads no query and no
+// string, with each mapping's refresh stamp stored inline next to its
+// target. That order depends on when the pool interned each query, so it is
+// never observable: entries() is the one way to walk a partition, and it
+// hands out canonical order -- the order of the previous
+// std::map<std::string, ...> layout, which keeps sweep results, snapshots
+// and audit reports bit-identical. Queries are `const Query*` refs into the
 // index service's query pool, and every operation takes pool refs: callers
 // resolve query values through that pool before they call in.
 #pragma once
@@ -81,18 +84,20 @@ class IndexNodeState {
   ShortcutCache& cache() { return cache_; }
   const ShortcutCache& cache() const { return cache_; }
 
-  /// All sources with their targets, ascending by canonical form (for
-  /// iteration/diagnostics).
-  const std::vector<SourceEntry>& entries() const { return entries_; }
+  /// All sources with their targets, ascending by canonical form: the
+  /// canonical view, sorted on each call, for every walk of the partition
+  /// (rebalance, snapshots, the auditor, diagnostics). The pointers stay
+  /// valid until the partition next changes.
+  std::vector<const SourceEntry*> entries() const;
 
  private:
-  /// Sorted position of `canonical` in entries_ (insertion point when absent).
-  std::vector<SourceEntry>::iterator lower_bound(const std::string& canonical);
+  /// Sorted position of `source` in entries_ (insertion point when absent).
+  std::vector<SourceEntry>::iterator lower_bound(const query::Query* source);
   /// The entry of `source` (entries_.end() when absent): the one binary
   /// search every probe goes through.
   std::vector<SourceEntry>::const_iterator find_entry(const query::Query* source) const;
 
-  std::vector<SourceEntry> entries_;  // sorted by source->canonical()
+  std::vector<SourceEntry> entries_;  // sorted by std::less<const Query*> on source
   ShortcutCache cache_;
   std::size_t mapping_count_ = 0;
   std::uint64_t bytes_ = 0;

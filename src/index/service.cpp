@@ -133,8 +133,8 @@ bool IndexService::remove_interned(const query::Query* source, const query::Quer
 }
 
 IndexService::ContactResult IndexService::contact(const query::Query& q,
-                                                  bool consider_cache,
-                                                  net::Action action) {
+                                                  const query::Query* interned,
+                                                  bool consider_cache, net::Action action) {
   const std::vector<Id> candidates =
       dht::candidate_nodes(dht_, q.key(), replication_, failures_);
   ContactResult result;
@@ -146,12 +146,9 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
   // entries, or shortcuts when the caller consults the cache), or after
   // `replication_` live replicas all turned out empty -- further candidates
   // hold no copy by the placement rule. The usefulness probe only decides
-  // failover, so with one copy and no wire reply to build it is skipped: the
-  // one live replica answers. It probes on q's interned instance, resolved
-  // once here; a query the pool does not hold has no mapping or shortcut on
-  // any replica.
-  const query::Query* interned =
-      replication_ > 1 || bus_ != nullptr ? interner_->find_existing(q) : nullptr;
+  // failover, so with one copy it is skipped: the one live replica answers.
+  // It probes on the caller's `interned`; a query the pool does not hold has
+  // no mapping or shortcut on any replica.
   IndexNodeState* first_state = nullptr;
   Id first_node = result.node;
   std::size_t contacted = 0;
@@ -171,7 +168,7 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
     net::active(ledger_).queries.record(request_bytes);
     IndexNodeState* state = find_state(replica);
     if (bus_ != nullptr) wire_lookup(q, interned, state, replica, action, consider_cache);
-    const bool useful = interned != nullptr && state != nullptr &&
+    const bool useful = replication_ > 1 && interned != nullptr && state != nullptr &&
                         (state->has_source(interned) ||
                          (consider_cache && state->cache().bucket_size(interned) != 0));
     if (useful) {
@@ -196,7 +193,9 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
 }
 
 IndexService::Reply IndexService::lookup(const query::Query& q, net::Action action) {
-  const ContactResult contacted = contact(q, /*consider_cache=*/false, action);
+  // A query the pool does not hold has no mapping on any node.
+  const query::Query* interned = interner_->find_existing(q);
+  const ContactResult contacted = contact(q, interned, /*consider_cache=*/false, action);
   Reply reply;
   reply.node = contacted.node;
   reply.rpc_failures = contacted.rpc_failures;
@@ -204,10 +203,7 @@ IndexService::Reply IndexService::lookup(const query::Query& q, net::Action acti
   reply.unreachable = contacted.unreachable;
   if (contacted.unreachable) return reply;
   std::uint64_t response_bytes = net::kMessageOverheadBytes;
-  // A query the pool does not hold has no mapping on any node.
-  const query::Query* interned =
-      contacted.state != nullptr ? interner_->find_existing(q) : nullptr;
-  if (interned != nullptr) {
+  if (contacted.state != nullptr && interned != nullptr) {
     const IndexNodeState::SourceEntry& entry = contacted.state->entry_of(interned);
     reply.targets.reserve(entry.targets.size());
     for (const IndexNodeState::TargetRef& ref : entry.targets) {
@@ -270,7 +266,8 @@ std::size_t IndexService::rebalance() {
   };
   std::vector<Move> moves;
   for (const auto& [node, state] : states_) {
-    for (const auto& [source, targets, bytes] : state.entries()) {
+    for (const auto* entry : state.entries()) {
+      const auto& [source, targets, bytes] = *entry;
       const std::vector<Id> replicas = dht_.replica_set(source->key(), replication_);
       if (std::find(replicas.begin(), replicas.end(), node) != replicas.end()) continue;
       for (const IndexNodeState::TargetRef& ref : targets) {
@@ -314,7 +311,8 @@ std::size_t IndexService::rebalance() {
     // dhtidx-lint: allow(hot-path-map) "sorted canonical order makes repair placement deterministic; maintenance path, not per-query"
     std::map<std::string, Fact> facts;
     for (const auto& [node, state] : states_) {
-      for (const auto& [source, targets, bytes] : state.entries()) {
+      for (const auto* entry : state.entries()) {
+        const auto& [source, targets, bytes] = *entry;
         for (const IndexNodeState::TargetRef& ref : targets) {
           const std::string key = source->canonical() + '\x1f' + ref.target->canonical();
           auto [it, inserted] = facts.try_emplace(key, Fact{source, ref.target, ref.stamp});

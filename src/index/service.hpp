@@ -16,8 +16,9 @@
 // Query instance per distinct query across the whole index. Per-node states,
 // shortcut caches, lookups and replies pass `const Query*` refs into it, and
 // IndexNodeState and ShortcutCache take nothing else: a query value becomes a
-// ref only through this pool (insert interns; lookup, contact and the wire
-// response resolve probe-only with find_existing, as do lookup sessions).
+// ref only through this pool (insert interns; lookup and lookup sessions
+// resolve probe-only with find_existing, once each, and hand the ref to
+// contact and the wire response).
 //
 // Every published mapping lands through place(), the per-node apply that
 // insert_interned and the op pipeline (sim::build_world) share, so each
@@ -95,6 +96,9 @@ class IndexService {
   /// index state) -- never created as a side effect of reading. Records one
   /// query message per delivered attempt and each failed attempt as retry
   /// traffic; backoff adds up as virtual time in retry_backoff_ms().
+  /// `interned` is q's instance in this service's pool, or nullptr when the
+  /// pool does not hold q: the caller has already resolved it (find_existing),
+  /// so the failover probe and the wire reply reuse it.
   struct ContactResult {
     IndexNodeState* state = nullptr;
     Id node;
@@ -102,8 +106,8 @@ class IndexService {
     int replicas_tried = 0;   ///< replicas successfully contacted
     bool unreachable = false; ///< no replica answered within the budget
   };
-  ContactResult contact(const query::Query& q, bool consider_cache,
-                        net::Action action = net::Action::kLookup);
+  ContactResult contact(const query::Query& q, const query::Query* interned,
+                        bool consider_cache, net::Action action = net::Action::kLookup);
 
   /// The "lookup(q)" operation of Section IV: all queries qi with a mapping
   /// (q ; qi) on the responsible node (or, under failures, on the first
@@ -197,6 +201,13 @@ class IndexService {
   void set_bus(net::MessageBus* bus) { bus_ = bus; }
   net::MessageBus* bus() const { return bus_; }
 
+  /// The one frame layout of a (source, target) mapping: wire_request for
+  /// `source` with `target`'s canonical form appended. Publish, replicate,
+  /// repair and remove frames use it, and so do the shortcut install and
+  /// invalidation frames of LookupEngine.
+  net::Message wire_mapping(net::Action action, const Id& node, const query::Query* source,
+                            const query::Query* target) const;
+
   /// Total virtual backoff time spent waiting between retries.
   double retry_backoff_ms() const { return backoff_ms_; }
 
@@ -221,10 +232,6 @@ class IndexService {
   /// Builds the request leg of an index RPC carrying `q` (client → node).
   net::Message wire_request(net::Action action, const Id& node,
                             const query::Query& q) const;
-
-  /// wire_request for `source` with `target`'s canonical form appended.
-  net::Message wire_mapping(net::Action action, const Id& node, const query::Query* source,
-                            const query::Query* target) const;
 
   /// One copy of rebalance(): writes the mapping on `replica` unless it holds
   /// one at least as fresh as `stamp`, posts kRepair either way, and returns

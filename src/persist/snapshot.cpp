@@ -18,7 +18,8 @@ std::string save_snapshot(const index::IndexService& service,
 
   xml::Element& index = root.add_child(xml::Element{"index"});
   for (const auto& [node, state] : service.states()) {
-    for (const auto& [source, targets, bytes] : state.entries()) {
+    for (const auto* entry : state.entries()) {
+      const auto& [source, targets, bytes] = *entry;
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         xml::Element mapping{"mapping"};
         mapping.set_attribute("source", source->canonical());

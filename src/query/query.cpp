@@ -85,11 +85,17 @@ bool needs_quoting(std::string_view value) {
          is_blank(value.front()) || is_blank(value.back());
 }
 
-/// The signature bit of an exact, anchored, wildcard-free constraint, picked
-/// by a hash of its canonical text "[path=value]": a function of the path
-/// and the exact value alone.
-std::uint64_t signature_bit(std::string_view constraint_text) {
-  return std::uint64_t{1} << (std::hash<std::string_view>{}(constraint_text) % 64);
+/// The signature bits of an exact, anchored, wildcard-free constraint: four
+/// 6-bit slices of one hash of its canonical text "[path=value]", so a
+/// function of the path and the exact value alone. Two slices may pick the
+/// same bit.
+std::uint64_t signature_bits(std::string_view constraint_text) {
+  const std::uint64_t hash = std::hash<std::string_view>{}(constraint_text);
+  std::uint64_t bits = 0;
+  for (int slice = 0; slice < 4; ++slice) {
+    bits |= std::uint64_t{1} << ((hash >> (6 * slice)) & 63);
+  }
+  return bits;
 }
 
 /// Path order of Constraint::operator<=> (steps compared as a sequence) on
@@ -311,7 +317,7 @@ Query Query::assemble(std::string_view root, std::vector<ConstraintView>& parts)
     r.path_offset = static_cast<std::uint32_t>(at + (c.descendant() ? 3 : 1));
     q.records_.push_back(r);
     if (c.has_value() && !c.value_is_prefix() && !c.descendant() && !c.has_wildcard_step()) {
-      q.signature_ |= signature_bit(piece);
+      q.signature_ |= signature_bits(piece);
     }
     at += piece.copy(text.data() + at, piece.size());
   }

@@ -205,13 +205,14 @@ class Query {
   /// true) in the presence of wildcards and descendant paths.
   bool covers(const Query& other) const;
 
-  /// A 64-bit filter for covers(): one bit per hashed (path, value) pair of
-  /// every exact-value, anchored, wildcard-free constraint. constraint_implies
-  /// satisfies such a constraint only with an identical one, so
-  /// a.covers(b) implies (a.signature() & ~b.signature()) == 0, and a query
-  /// with a bit outside b's signature cannot cover b. Prefix, presence-only,
-  /// descendant (//) and wildcard-step constraints add no bits. Computed with
-  /// the canonical string.
+  /// A 64-bit filter for covers(): up to four bits per hashed (path, value)
+  /// pair of every exact-value, anchored, wildcard-free constraint.
+  /// constraint_implies satisfies such a constraint only with an identical
+  /// one, which sets identical bits, so a.covers(b) implies
+  /// (a.signature() & ~b.signature()) == 0, and a query with a bit outside
+  /// b's signature cannot cover b. Prefix, presence-only, descendant (//) and
+  /// wildcard-step constraints add no bits. Computed with the canonical
+  /// string.
   std::uint64_t signature() const { return signature_; }
 
   /// True when *this is exactly the most specific query of `doc`.

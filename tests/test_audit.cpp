@@ -165,7 +165,8 @@ class CorruptibleSystem {
   /// refs.
   std::pair<const query::Query*, const query::Query*> some_mapping() {
     for (const auto& [node, state] : service_.states()) {
-      for (const auto& [source, targets, bytes] : state.entries()) {
+      for (const auto* entry : state.entries()) {
+        const auto& [source, targets, bytes] = *entry;
         if (!targets.empty()) return {source, targets.front().target};
       }
     }

@@ -495,9 +495,9 @@ struct RebalanceWorld {
   std::vector<std::string> index_lines() const {
     std::vector<std::string> lines;
     for (const auto& [node, state] : service.states()) {
-      for (const index::IndexNodeState::SourceEntry& entry : state.entries()) {
-        std::string line = node.brief() + ' ' + entry.source->canonical() + " ->";
-        for (const index::IndexNodeState::TargetRef& ref : entry.targets) {
+      for (const index::IndexNodeState::SourceEntry* entry : state.entries()) {
+        std::string line = node.brief() + ' ' + entry->source->canonical() + " ->";
+        for (const index::IndexNodeState::TargetRef& ref : entry->targets) {
           line += ' ' + ref.target->canonical() + '@' + std::to_string(ref.stamp);
         }
         lines.push_back(std::move(line));

@@ -4,14 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "biblio/corpus.hpp"
+#include "biblio/stream.hpp"
 #include "dht/ring.hpp"
 #include "index/builder.hpp"
 #include "net/bus.hpp"
 #include "net/transport.hpp"
+#include "sim/sharded.hpp"
 #include "workload/structure.hpp"
 
 namespace dhtidx::index {
@@ -444,6 +447,67 @@ TEST(Lookup, HopSelectionOverLongListMatchesCoversScan) {
   ledger.reset();
   EXPECT_EQ(service.lookup(source).targets.size(), 1003u);
   EXPECT_EQ(ledger.responses.bytes(), net::kMessageOverheadBytes + list_bytes);
+}
+
+TEST(SelectionWorkBudget, SignatureFilterPassesFewNonCoveringTargets) {
+  // A work budget for target selection: the probes a lookup walk makes on a
+  // streamed world, each scanning one posting list for the targets that
+  // cover the wanted MSD. The signature filter must keep every covering
+  // target, and at most 2% of the non-covering ones may get past it to
+  // covers().
+  sim::SimulationConfig config;
+  config.nodes = 100;
+  config.corpus.articles = 2000;
+  config.scheme = SchemeKind::kSimple;
+  config.streaming = true;
+  config.shards = 1;
+  net::TrafficLedger ledger;
+  dht::Ring ring = dht::Ring::with_nodes(config.nodes);
+  storage::DhtStore store{ring, ledger};
+  IndexService service{ring, ledger};
+  const biblio::ArticleStream stream{config.corpus};
+  sim::build_streaming_world(config, ring, service, store, stream);
+  const IndexingScheme scheme = IndexingScheme::make(config.scheme);
+
+  std::size_t probes = 0;
+  std::size_t scanned = 0;
+  std::size_t covering = 0;
+  std::size_t false_positives = 0;  // pass the filter, do not cover
+  std::size_t filtered_covering = 0;  // cover, rejected by the filter
+  std::vector<const Query*> sources;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const Query msd = stream.article(i).msd();
+    sources.clear();
+    for (const Mapping& m : scheme.mappings_for(msd)) {
+      const Query* source = service.interner().find_existing(m.source);
+      ASSERT_NE(source, nullptr) << m.source.canonical();
+      if (std::find(sources.begin(), sources.end(), source) == sources.end()) {
+        sources.push_back(source);
+      }
+    }
+    for (const Query* source : sources) {
+      const IndexNodeState* state = service.find_state(service.node_for(*source));
+      ASSERT_NE(state, nullptr) << source->canonical();
+      ++probes;
+      for (const IndexNodeState::TargetRef& ref : state->entry_of(source).targets) {
+        ++scanned;
+        const bool passes = (ref.signature & ~msd.signature()) == 0;
+        if (ref.target->covers(msd)) {
+          ++covering;
+          if (!passes) ++filtered_covering;
+        } else if (passes) {
+          ++false_positives;
+        }
+      }
+    }
+  }
+  const std::string counts = std::to_string(probes) + " probes, " + std::to_string(scanned) +
+                             " targets, " + std::to_string(covering) + " covering, " +
+                             std::to_string(false_positives) + " false positives, " +
+                             std::to_string(filtered_covering) + " covering filtered";
+  ASSERT_GT(probes, stream.size()) << counts;
+  EXPECT_EQ(filtered_covering, 0u) << counts;
+  EXPECT_LE(false_positives * 50, scanned - covering) << counts;
 }
 
 TEST(ApplyCacheDelta, ChargesAndPostsOnlyWhenAnInstallCreatesTheEntry) {

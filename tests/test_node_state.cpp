@@ -2,16 +2,20 @@
 // rescan posting lists: every entry's response-byte sum and every target's
 // covering signature. Both must stay exact on each path that changes an
 // index: add and republish, remove, soft-state expiry, churn repair and the
-// sharded streaming build. The last test pins that the two build drivers
-// place the same world and post the same frames.
+// sharded streaming build. The build-driver tests pin that the two build
+// drivers place the same world and post the same frames, and the last test
+// that a partition's storage order never shows.
 #include "index/node_state.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "biblio/corpus.hpp"
 #include "biblio/stream.hpp"
 #include "common/error.hpp"
@@ -21,6 +25,7 @@
 #include "net/bus.hpp"
 #include "net/codec.hpp"
 #include "net/transport.hpp"
+#include "persist/snapshot.hpp"
 #include "query/interner.hpp"
 #include "sim/sharded.hpp"
 #include "storage/dht_store.hpp"
@@ -41,7 +46,8 @@ std::uint64_t recomputed_signature(const Query& q) {
 /// Every entry's byte sum equals the sum over its targets, and every stored
 /// signature equals the target's recomputed one.
 void expect_exact(const IndexNodeState& state) {
-  for (const auto& [source, targets, bytes] : state.entries()) {
+  for (const auto* entry : state.entries()) {
+    const auto& [source, targets, bytes] = *entry;
     std::uint64_t sum = 0;
     for (const IndexNodeState::TargetRef& ref : targets) {
       sum += ref.target->byte_size();
@@ -154,7 +160,8 @@ std::vector<std::string> node_contents(const IndexService& service,
                                        const storage::DhtStore& store, const Id& node) {
   std::vector<std::string> lines;
   if (const IndexNodeState* state = service.find_state(node); state != nullptr) {
-    for (const auto& [source, targets, bytes] : state->entries()) {
+    for (const auto* entry : state->entries()) {
+      const auto& [source, targets, bytes] = *entry;
       std::string line = source->canonical() + " bytes=" + std::to_string(bytes);
       for (const IndexNodeState::TargetRef& ref : targets) {
         line += " | " + ref.target->canonical() + " @" + std::to_string(ref.stamp) +
@@ -295,6 +302,99 @@ TEST(BuildDrivers, ABuildWithABusRunsOnOneShard) {
   EXPECT_THROW(sim::build_streaming_world(config, ring, service, store, stream),
                InvariantError);
   EXPECT_EQ(wire.bus.posts(), 0u);
+}
+
+/// A world of 400 articles indexed by index_file at r = 2. With
+/// `reverse_interned` the pool first interns every query of the corpus in
+/// reverse canonical order, so its refs order differently by address from
+/// those of a world that interns each query when it is first published.
+struct IndexedWorld {
+  IndexedWorld(const biblio::Corpus& corpus, bool reverse_interned)
+      : ring(dht::Ring::with_nodes(32)),
+        store(ring, ledger, 2),
+        service(ring, ledger, /*cache_capacity=*/0, /*replication=*/2) {
+    if (reverse_interned) {
+      std::vector<Query> queries;
+      for (const biblio::Article& a : corpus.articles()) {
+        queries.push_back(a.msd());
+        for (const Mapping& m : scheme.mappings_for(queries.back())) {
+          queries.push_back(m.source);
+          queries.push_back(m.target);
+        }
+      }
+      std::sort(queries.begin(), queries.end());
+      for (auto q = queries.rbegin(); q != queries.rend(); ++q) service.interner().intern(*q);
+    }
+    IndexBuilder builder{service, store, scheme};
+    for (const biblio::Article& a : corpus.articles()) {
+      builder.index_file(a.descriptor(), a.file_name(), a.file_bytes);
+    }
+  }
+
+  std::string audit_text() {
+    audit::Options options;
+    options.scheme = &scheme;
+    return audit::Auditor{ring, service, store, options}.run().to_text();
+  }
+
+  const IndexingScheme scheme = IndexingScheme::simple();
+  net::TrafficLedger ledger;
+  dht::Ring ring;
+  storage::DhtStore store;
+  IndexService service;
+};
+
+/// Every observer of the two worlds reads the same: node contents (entries
+/// with their targets, stamps and signatures, then records), the snapshot
+/// text and the audit report.
+void expect_same_observations(IndexedWorld& a, IndexedWorld& b) {
+  ASSERT_EQ(a.ring.node_ids(), b.ring.node_ids());
+  for (const Id& node : a.ring.node_ids()) {
+    EXPECT_EQ(node_contents(a.service, a.store, node), node_contents(b.service, b.store, node))
+        << "node " << node.brief();
+  }
+  EXPECT_EQ(persist::save_snapshot(a.service, a.store),
+            persist::save_snapshot(b.service, b.store));
+  EXPECT_EQ(a.audit_text(), b.audit_text());
+}
+
+TEST(EntryState, StorageOrderIsNeverObservable) {
+  // A partition stores its entries ordered by pool ref, which depends on
+  // the order the pool interned its queries. entries() must still hand out
+  // canonical order, so two worlds with the same mappings and differently
+  // ordered refs look the same to every observer, before and after churn.
+  const biblio::Corpus corpus =
+      biblio::Corpus::generate({.articles = 400, .authors = 120, .conferences = 12});
+  IndexedWorld a{corpus, /*reverse_interned=*/false};
+  IndexedWorld b{corpus, /*reverse_interned=*/true};
+
+  // The test proves nothing unless some two sources order differently by
+  // address in the two pools.
+  std::vector<std::pair<const Query*, const Query*>> sources;  // (in a, in b)
+  for (const auto& [node, state] : a.service.states()) {
+    for (const IndexNodeState::SourceEntry* entry : state.entries()) {
+      const Query* in_b = b.service.interner().find_existing(*entry->source);
+      ASSERT_NE(in_b, nullptr) << entry->source->canonical();
+      sources.emplace_back(entry->source, in_b);
+    }
+  }
+  const std::less<const Query*> before;
+  std::sort(sources.begin(), sources.end(),
+            [&](const auto& x, const auto& y) { return before(x.first, y.first); });
+  ASSERT_FALSE(std::is_sorted(sources.begin(), sources.end(), [&](const auto& x, const auto& y) {
+    return before(x.second, y.second);
+  })) << sources.size() << " sources order alike in both pools";
+  expect_same_observations(a, b);
+
+  for (IndexedWorld* world : {&a, &b}) {
+    const std::vector<Id> members = world->ring.node_ids();
+    for (std::size_t i = 0; i < members.size(); i += 3) world->ring.remove(members[i]);
+    world->store.rebalance();
+  }
+  const std::size_t repaired = a.service.rebalance();
+  EXPECT_GT(repaired, 0u);
+  EXPECT_EQ(b.service.rebalance(), repaired);
+  expect_same_observations(a, b);
 }
 
 }  // namespace

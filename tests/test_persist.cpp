@@ -138,7 +138,8 @@ TEST(Snapshot, RestoreUnderDifferentMembership) {
   }
   // Placement matches the new ring.
   for (const auto& [node, state] : bigger.service.states()) {
-    for (const auto& [source, targets, bytes] : state.entries()) {
+    for (const auto* entry : state.entries()) {
+      const auto& [source, targets, bytes] = *entry;
       EXPECT_EQ(bigger.ring.successor(source->key()), node);
     }
   }

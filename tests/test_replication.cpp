@@ -317,7 +317,7 @@ TEST(PlacementRule, OneSubstrateCallPerOperationAndWritesOnFirstLiveSuccessors) 
       transport.requested.clear();
       failures.attempted.clear();
       one_call("contact", [&] {
-        const auto contacted = service.contact(source, /*consider_cache=*/false);
+        const auto contacted = service.contact(source, s, /*consider_cache=*/false);
         EXPECT_EQ(contacted.node, writes.front());
         ASSERT_NE(contacted.state, nullptr);
         EXPECT_TRUE(contacted.state->has_source(s));
@@ -356,7 +356,7 @@ TEST(ContactFailover, CachedShortcutMakesTheFirstReplicaUseful) {
       service.state_at(writes.front()).cache().insert(pooled_q, service.interner().intern(target)));
   ASSERT_EQ(service.totals().mappings, 0u);
 
-  const auto cached = service.contact(q, /*consider_cache=*/true);
+  const auto cached = service.contact(q, pooled_q, /*consider_cache=*/true);
   EXPECT_EQ(cached.node, writes.front());
   EXPECT_EQ(cached.replicas_tried, 1);
   ASSERT_NE(cached.state, nullptr);
@@ -364,7 +364,7 @@ TEST(ContactFailover, CachedShortcutMakesTheFirstReplicaUseful) {
   EXPECT_EQ(ledger.queries.messages(), 1u);
 
   ledger.reset();
-  const auto uncached = service.contact(q, /*consider_cache=*/false);
+  const auto uncached = service.contact(q, pooled_q, /*consider_cache=*/false);
   EXPECT_EQ(uncached.node, writes.front());
   EXPECT_EQ(uncached.replicas_tried, 2);
   EXPECT_EQ(uncached.state, cached.state);
